@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "ml/scaler.hpp"
 #include "util/thread_pool.hpp"
@@ -53,35 +54,36 @@ ml::FeatureOptions options_for(Grouping grouping) {
   return options;
 }
 
-std::vector<std::string> group_keys(const sweep::Dataset& dataset,
-                                    Grouping grouping) {
-  switch (grouping) {
-    case Grouping::PerApplication:
-      return dataset.distinct([](const sweep::Sample& s) { return s.app; });
-    case Grouping::PerArchitecture:
-      return dataset.distinct([](const sweep::Sample& s) { return s.arch; });
-    case Grouping::PerArchApplication:
-      return dataset.distinct(
-          [](const sweep::Sample& s) { return s.arch + "/" + s.app; });
-  }
-  throw std::invalid_argument("group_keys: bad Grouping");
-}
+/// One group of a grouping: its key and the dataset rows it holds.
+struct Group {
+  std::string key;
+  std::vector<std::size_t> rows;
+};
 
-sweep::Dataset group_slice(const sweep::Dataset& dataset, Grouping grouping,
-                           const std::string& key) {
-  switch (grouping) {
-    case Grouping::PerApplication:
-      return dataset.filter(
-          [&key](const sweep::Sample& s) { return s.app == key; });
-    case Grouping::PerArchitecture:
-      return dataset.filter(
-          [&key](const sweep::Sample& s) { return s.arch == key; });
-    case Grouping::PerArchApplication:
-      return dataset.filter([&key](const sweep::Sample& s) {
-        return s.arch + "/" + s.app == key;
-      });
+/// Partition the dataset's rows by group key in one pass: groups in
+/// first-appearance order, rows in dataset order — the same slices a
+/// per-group filter would copy out, as indices.
+std::vector<Group> partition(const sweep::Dataset& dataset, Grouping grouping) {
+  std::vector<Group> groups;
+  std::unordered_map<std::string, std::size_t> index;
+  std::string key;
+  const std::vector<sweep::Sample>& samples = dataset.samples();
+  for (std::size_t r = 0; r < samples.size(); ++r) {
+    const sweep::Sample& s = samples[r];
+    switch (grouping) {
+      case Grouping::PerApplication: key = s.app; break;
+      case Grouping::PerArchitecture: key = s.arch; break;
+      case Grouping::PerArchApplication:
+        key = s.arch;
+        key += '/';
+        key += s.app;
+        break;
+    }
+    const auto [it, inserted] = index.try_emplace(key, groups.size());
+    if (inserted) groups.push_back(Group{key, {}});
+    groups[it->second].rows.push_back(r);
   }
-  throw std::invalid_argument("group_slice: bad Grouping");
+  return groups;
 }
 
 }  // namespace
@@ -96,15 +98,14 @@ InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,
   // One slot per group, filled concurrently (degenerate groups leave
   // theirs empty), then gathered in group order — completion order never
   // shows in the output. A group's fit receives the pool too: when the
-  // group loop has saturated it, the nested gradient loops run inline.
-  const std::vector<std::string> keys = group_keys(dataset, grouping);
-  std::vector<std::optional<InfluenceRow>> rows(keys.size());
+  // group loop has saturated it, the nested Newton passes run inline.
+  const std::vector<Group> groups = partition(dataset, grouping);
+  std::vector<std::optional<InfluenceRow>> rows(groups.size());
   util::parallel_for(
-      pool, keys.size(), 1, [&](std::size_t begin, std::size_t, std::size_t) {
-        const std::string& key = keys[begin];
-        const sweep::Dataset slice = group_slice(dataset, grouping, key);
+      pool, groups.size(), 1, [&](std::size_t begin, std::size_t, std::size_t) {
+        const Group& group = groups[begin];
         const std::vector<int> labels =
-            ml::FeatureEncoder::labels(slice, label_threshold);
+            ml::FeatureEncoder::labels(dataset, group.rows, label_threshold);
 
         const std::size_t positives = static_cast<std::size_t>(
             std::count(labels.begin(), labels.end(), 1));
@@ -114,12 +115,13 @@ InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,
         }
 
         ml::StandardScaler scaler;
-        const ml::Matrix x = scaler.fit_transform(encoder.encode(slice));
+        const ml::Matrix x =
+            scaler.fit_transform(encoder.encode(dataset, group.rows));
         ml::LogisticRegression model(options);
         model.fit(x, labels, pool);
 
         InfluenceRow row;
-        row.group = key;
+        row.group = group.key;
         row.influence = model.normalized_influence();
         row.model_accuracy = model.accuracy(x, labels, pool);
         row.positive_share =

@@ -47,8 +47,8 @@ struct InfluenceMap {
 /// identical (degenerate classification) are skipped — mirroring e.g. Sort
 /// and Strassen showing no reliance where they were not executed.
 ///
-/// Groups fit concurrently on `pool` (each group's own gradient loop then
-/// runs inline on its worker); rows are emitted in group first-appearance
+/// Groups fit concurrently on `pool` (each group's own Newton passes then
+/// run inline on its worker); rows are emitted in group first-appearance
 /// order regardless of completion order, and each fit is deterministic, so
 /// the map is bit-identical at any thread count.
 InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,

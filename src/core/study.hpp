@@ -71,7 +71,7 @@ class Study {
 
   /// Derive all analysis artefacts from an existing dataset (e.g. loaded
   /// from the open-sourced CSV files). With a pool, the influence maps'
-  /// group fits and the models' gradient/tree loops run on it; every
+  /// group fits and the models' Newton/tree loops run on it; every
   /// artefact is bit-identical at any thread count.
   StudyResult analyze(sweep::Dataset dataset,
                       const util::ThreadPool* pool = nullptr) const;

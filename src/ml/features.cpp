@@ -91,12 +91,20 @@ double encode_arch(const std::string& arch_name) {
 }
 
 double encode_app(const std::string& app_name) {
-  const auto& apps = apps::registry();
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    if (apps[i]->name() == app_name) return static_cast<double>(i);
+  // Registry names, built once: Application::name() returns a fresh string
+  // per call, and this runs for every encoded row.
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const apps::Application* app : apps::registry()) {
+      out.push_back(app->name());
+    }
+    return out;
+  }();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == app_name) return static_cast<double>(i);
   }
   return static_cast<double>(util::stable_hash(app_name) % 16u) +
-         static_cast<double>(apps.size());
+         static_cast<double>(names.size());
 }
 
 FeatureEncoder::FeatureEncoder(FeatureOptions options) : options_(options) {
@@ -113,28 +121,39 @@ FeatureEncoder::FeatureEncoder(FeatureOptions options) : options_(options) {
   names_.push_back("KMP_ALIGN_ALLOC");
 }
 
+void FeatureEncoder::encode_into(const sweep::Sample& s, double* out) const {
+  if (options_.include_architecture) *out++ = encode_arch(s.arch);
+  if (options_.include_application) *out++ = encode_app(s.app);
+  if (options_.include_input_size) *out++ = encode_input(s.input);
+  if (options_.include_threads) *out++ = static_cast<double>(s.threads);
+  *out++ = encode_places(s.config.places);
+  *out++ = encode_bind(s.config.bind);
+  *out++ = encode_schedule(s.config.schedule);
+  *out++ = encode_library(s.config.library);
+  *out++ = encode_blocktime(s.config.blocktime_ms);
+  *out++ = encode_reduction(s.config.reduction);
+  *out = encode_align(s.config.align_alloc);
+}
+
 std::vector<double> FeatureEncoder::encode_sample(const sweep::Sample& s) const {
-  std::vector<double> row;
-  row.reserve(names_.size());
-  if (options_.include_architecture) row.push_back(encode_arch(s.arch));
-  if (options_.include_application) row.push_back(encode_app(s.app));
-  if (options_.include_input_size) row.push_back(encode_input(s.input));
-  if (options_.include_threads) row.push_back(static_cast<double>(s.threads));
-  row.push_back(encode_places(s.config.places));
-  row.push_back(encode_bind(s.config.bind));
-  row.push_back(encode_schedule(s.config.schedule));
-  row.push_back(encode_library(s.config.library));
-  row.push_back(encode_blocktime(s.config.blocktime_ms));
-  row.push_back(encode_reduction(s.config.reduction));
-  row.push_back(encode_align(s.config.align_alloc));
+  std::vector<double> row(num_features());
+  encode_into(s, row.data());
   return row;
 }
 
 Matrix FeatureEncoder::encode(const sweep::Dataset& dataset) const {
   Matrix x(dataset.size(), num_features());
   for (std::size_t r = 0; r < dataset.size(); ++r) {
-    const std::vector<double> row = encode_sample(dataset.samples()[r]);
-    for (std::size_t c = 0; c < row.size(); ++c) x.at(r, c) = row[c];
+    encode_into(dataset.samples()[r], x.row(r));
+  }
+  return x;
+}
+
+Matrix FeatureEncoder::encode(const sweep::Dataset& dataset,
+                              const std::vector<std::size_t>& rows) const {
+  Matrix x(rows.size(), num_features());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    encode_into(dataset.samples()[rows[r]], x.row(r));
   }
   return x;
 }
@@ -145,6 +164,17 @@ std::vector<int> FeatureEncoder::labels(const sweep::Dataset& dataset,
   y.reserve(dataset.size());
   for (const sweep::Sample& s : dataset.samples()) {
     y.push_back(s.speedup > threshold ? 1 : 0);
+  }
+  return y;
+}
+
+std::vector<int> FeatureEncoder::labels(const sweep::Dataset& dataset,
+                                        const std::vector<std::size_t>& rows,
+                                        double threshold) {
+  std::vector<int> y;
+  y.reserve(rows.size());
+  for (const std::size_t r : rows) {
+    y.push_back(dataset.samples()[r].speedup > threshold ? 1 : 0);
   }
   return y;
 }

@@ -35,6 +35,11 @@ class FeatureEncoder {
   /// Encode a dataset into a feature matrix (one row per sample).
   Matrix encode(const sweep::Dataset& dataset) const;
 
+  /// Encode the samples at `rows`, in that order — a group of the dataset
+  /// without copying its samples out.
+  Matrix encode(const sweep::Dataset& dataset,
+                const std::vector<std::size_t>& rows) const;
+
   /// Encode one sample.
   std::vector<double> encode_sample(const sweep::Sample& sample) const;
 
@@ -42,7 +47,15 @@ class FeatureEncoder {
   static std::vector<int> labels(const sweep::Dataset& dataset,
                                  double threshold = 1.01);
 
+  /// Labels of the samples at `rows`, in that order.
+  static std::vector<int> labels(const sweep::Dataset& dataset,
+                                 const std::vector<std::size_t>& rows,
+                                 double threshold = 1.01);
+
  private:
+  /// Write one sample's num_features() values to `out`.
+  void encode_into(const sweep::Sample& sample, double* out) const;
+
   FeatureOptions options_;
   std::vector<std::string> names_;
 };

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "util/thread_pool.hpp"
 
@@ -10,9 +12,10 @@ namespace omptune::ml {
 
 namespace {
 
-/// Rows per gradient chunk. Fixed — the chunk layout (and therefore the
-/// gradient summation order) must depend only on the row count, never on
-/// the thread count, or fits would stop being bit-reproducible.
+/// Rows per chunk. Fixed — the chunk layout (and therefore the summation
+/// order of the loss, gradient and Hessian) must depend only on the row
+/// count, never on the thread count, or fits would stop being
+/// bit-reproducible.
 constexpr std::size_t kRowGrain = 1024;
 
 }  // namespace
@@ -35,56 +38,115 @@ void LogisticRegression::fit(const Matrix& x, const std::vector<int>& y,
       throw std::invalid_argument("LogisticRegression::fit: labels must be 0/1");
     }
   }
+  // The penalty is what keeps the Newton system nonsingular (constant
+  // columns, separable labels).
+  if (!(options_.l2 > 0.0)) {
+    throw std::invalid_argument("LogisticRegression::fit: l2 must be positive");
+  }
 
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
-  coef_.assign(d, 0.0);
-  intercept_ = 0.0;
+  const std::size_t k = d + 1;  // unknowns: d coefficients, then the intercept
   const double inv_n = 1.0 / static_cast<double>(n);
 
-  // All scratch for the whole fit, allocated once: one (grad, grad_b) slab
-  // per chunk plus the merged gradient. ~300 epochs reuse these buffers.
+  // All scratch for the whole fit, allocated once. One slab per chunk:
+  // [loss | gradient (k) | Hessian upper triangle, row-major (k(k+1)/2)].
+  // Slabs sit a cache line apart: every row updates its whole slab, and
+  // chunks running on different lanes must not share a line.
   const std::size_t chunks = util::ThreadPool::chunk_count(n, kRowGrain);
-  const std::size_t stride = d + 1;  // d feature gradients + the intercept's
+  const std::size_t slab = 1 + k + k * (k + 1) / 2;
+  const std::size_t stride = slab + 64 / sizeof(double);
   std::vector<double> partials(chunks * stride);
-  std::vector<double> grad(d, 0.0);
+  std::vector<double> sums(slab);
+  std::vector<double> w(k, 0.0);         // point of this pass
+  std::vector<double> accepted(k, 0.0);  // last point whose objective fell
+  std::vector<double> step(k, 0.0);
+  std::vector<double> neg_grad(k);
+  Matrix hessian(k, k);
+  double accepted_objective = std::numeric_limits<double>::infinity();
 
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
+  for (int pass = 0; pass < options_.max_iterations; ++pass) {
     std::fill(partials.begin(), partials.end(), 0.0);
     util::parallel_for(
         pool, n, kRowGrain,
         [&](std::size_t begin, std::size_t end, std::size_t chunk) {
           double* p = partials.data() + chunk * stride;
+          double* g = p + 1;
+          double* h = g + k;
           for (std::size_t r = begin; r < end; ++r) {
             const double* xr = x.row(r);
-            double z = intercept_;
-            for (std::size_t c = 0; c < d; ++c) z += coef_[c] * xr[c];
-            const double err = sigmoid(z) - static_cast<double>(y[r]);
-            for (std::size_t c = 0; c < d; ++c) p[c] += err * xr[c];
-            p[d] += err;
+            double z = w[d];
+            for (std::size_t c = 0; c < d; ++c) z += w[c] * xr[c];
+            // One exp serves the probability, its curvature p(1-p) =
+            // e/(1+e)^2 (no cancellation when p nears 0 or 1) and the
+            // stable log-loss log(1 + e^z) - y*z.
+            const double e = std::exp(-std::abs(z));
+            const double prob = z >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+            const double weight = e / ((1.0 + e) * (1.0 + e));
+            const double label = static_cast<double>(y[r]);
+            p[0] += std::max(z, 0.0) + std::log1p(e) - label * z;
+            const double err = prob - label;
+            std::size_t t = 0;
+            for (std::size_t i = 0; i < d; ++i) {
+              g[i] += err * xr[i];
+              const double wi = weight * xr[i];
+              for (std::size_t j = i; j < d; ++j) h[t++] += wi * xr[j];
+              h[t++] += wi;  // (i, intercept)
+            }
+            g[d] += err;
+            h[t] += weight;
           }
         });
     // Merge partials in ascending chunk order — the fixed association that
     // keeps the fit independent of how chunks were scheduled.
-    std::fill(grad.begin(), grad.end(), 0.0);
-    double grad_b = 0.0;
+    std::fill(sums.begin(), sums.end(), 0.0);
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
       const double* p = partials.data() + chunk * stride;
-      for (std::size_t c = 0; c < d; ++c) grad[c] += p[c];
-      grad_b += p[d];
+      for (std::size_t s = 0; s < slab; ++s) sums[s] += p[s];
     }
-    double grad_norm2 = grad_b * inv_n * grad_b * inv_n;
-    for (std::size_t c = 0; c < d; ++c) {
-      grad[c] = grad[c] * inv_n + options_.l2 * coef_[c];
-      grad_norm2 += grad[c] * grad[c];
+
+    double objective = sums[0] * inv_n;
+    double grad_norm2 = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      double gi = sums[1 + i] * inv_n;
+      if (i < d) {
+        gi += options_.l2 * w[i];
+        objective += 0.5 * options_.l2 * w[i] * w[i];
+      }
+      neg_grad[i] = -gi;
+      grad_norm2 += gi * gi;
     }
-    grad_b *= inv_n;
-    for (std::size_t c = 0; c < d; ++c) {
-      coef_[c] -= options_.learning_rate * grad[c];
+    if (grad_norm2 < options_.tolerance * options_.tolerance) {
+      accepted = w;
+      break;
     }
-    intercept_ -= options_.learning_rate * grad_b;
-    if (grad_norm2 < options_.tolerance * options_.tolerance) break;
+    if (objective > accepted_objective) {
+      // The full step overshot: retry half of it from the accepted point.
+      for (std::size_t i = 0; i < k; ++i) {
+        step[i] *= 0.5;
+        w[i] = accepted[i] + step[i];
+      }
+      continue;
+    }
+    accepted = w;
+    accepted_objective = objective;
+
+    const double* h = sums.data() + 1 + k;
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = i; j < k; ++j) {
+        const double v = *h++ * inv_n;
+        hessian.at(i, j) = v;
+        hessian.at(j, i) = v;
+      }
+      if (i < d) hessian.at(i, i) += options_.l2;
+    }
+    step = solve_linear_system(hessian, neg_grad);
+    for (std::size_t i = 0; i < k; ++i) w[i] += step[i];
   }
+  // Out of passes without converging: keep the best point evaluated.
+  intercept_ = accepted[d];
+  accepted.pop_back();
+  coef_ = std::move(accepted);
 }
 
 void LogisticRegression::predict_proba_into(const Matrix& x,

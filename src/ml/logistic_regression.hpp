@@ -1,6 +1,6 @@
 #pragma once
 
-// L2-regularized logistic regression trained by batch gradient descent —
+// L2-regularized logistic regression fitted by Newton's method (IRLS) —
 // the paper's analysis workhorse: samples are labelled optimal
 // (speedup > 1.01) vs sub-optimal, the model is fitted per grouping, and
 // the weight-normalized |coefficients| become the feature-influence heat
@@ -18,10 +18,12 @@ class ThreadPool;
 namespace omptune::ml {
 
 struct LogisticOptions {
-  double learning_rate = 0.5;
-  int epochs = 300;
+  /// Cap on Newton passes over the data; a fit normally converges in < 10.
+  int max_iterations = 50;
+  /// Weight of the l2/2 * |coef|^2 penalty (the intercept is unpenalized);
+  /// must be positive.
   double l2 = 1e-3;
-  /// Stop early when the gradient norm falls below this.
+  /// Converged once the objective's gradient norm falls below this.
   double tolerance = 1e-7;
 };
 
@@ -30,14 +32,17 @@ class LogisticRegression {
   explicit LogisticRegression(LogisticOptions options = {})
       : options_(options) {}
 
-  /// Fit on features x and binary labels y (0/1). Inputs should be
-  /// standardized (see StandardScaler) so coefficients are comparable.
+  /// Fit on features x and binary labels y (0/1) by minimizing the mean
+  /// log-loss plus l2/2 * |coef|^2. Inputs should be standardized (see
+  /// StandardScaler) so coefficients are comparable.
   ///
-  /// With a pool, each epoch accumulates per-chunk partial gradients in
-  /// parallel and merges them in ascending chunk order; the chunk layout is
-  /// fixed by the row count alone, so the fitted weights are bit-identical
-  /// at any thread count (including no pool at all). All gradient scratch
-  /// is allocated once up front, never per epoch.
+  /// Each Newton pass accumulates the loss, the gradient and the Hessian's
+  /// upper triangle over [x, 1] per chunk, merges the chunks in ascending
+  /// order and solves the (d+1)^2 system for the step; a step that raises
+  /// the objective is halved instead. The chunk layout is fixed by the row
+  /// count alone, so the fitted weights are bit-identical at any thread
+  /// count (including no pool at all). All per-chunk scratch is allocated
+  /// once up front, never per pass.
   void fit(const Matrix& x, const std::vector<int>& y,
            const util::ThreadPool* pool = nullptr);
 

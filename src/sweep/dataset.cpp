@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 
@@ -67,8 +68,11 @@ std::string sample_identity(const Sample& sample) {
 }
 
 void Dataset::append(Dataset other) {
-  samples_.reserve(samples_.size() + other.samples_.size());
-  for (Sample& s : other.samples_) samples_.push_back(std::move(s));
+  // Range insert grows geometrically; an exact reserve here would reallocate
+  // (and move every sample gathered so far) on each append of a loop.
+  samples_.insert(samples_.end(),
+                  std::make_move_iterator(other.samples_.begin()),
+                  std::make_move_iterator(other.samples_.end()));
 }
 
 Dataset Dataset::deduped(DedupeReport* report) const {

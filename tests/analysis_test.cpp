@@ -13,6 +13,7 @@
 #include "analysis/marginals.hpp"
 #include "analysis/model_comparison.hpp"
 #include "analysis/recommend.hpp"
+#include "ml/scaler.hpp"
 #include "analysis/speedup.hpp"
 #include "sim/executor.hpp"
 #include "sweep/harness.hpp"
@@ -169,6 +170,60 @@ TEST(Influence, PerArchAppGroupingHasPairRows) {
   EXPECT_GE(map.rows.size(), 30u);
   for (const auto& row : map.rows) {
     EXPECT_NE(row.group.find('/'), std::string::npos);
+  }
+}
+
+TEST(Influence, MatchesPerGroupFilterReferenceBitForBit) {
+  // influence_map groups rows by index in one pass; the reference copies
+  // each group out with Dataset::filter, in first-appearance order, and
+  // fits it on its own. Every row must agree exactly, group order included.
+  const sweep::Dataset& dataset = study_dataset();
+  const struct {
+    Grouping grouping;
+    ml::FeatureOptions features;
+    std::string (*key)(const sweep::Sample&);
+  } cases[] = {
+      {Grouping::PerApplication, {.include_architecture = true},
+       [](const sweep::Sample& s) { return s.app; }},
+      {Grouping::PerArchitecture, {.include_application = true},
+       [](const sweep::Sample& s) { return s.arch; }},
+      {Grouping::PerArchApplication, {},
+       [](const sweep::Sample& s) { return s.arch + "/" + s.app; }},
+  };
+  for (const auto& c : cases) {
+    const ml::FeatureEncoder encoder(c.features);
+    std::vector<InfluenceRow> want;
+    for (const std::string& key : dataset.distinct(c.key)) {
+      const sweep::Dataset slice = dataset.filter(
+          [&](const sweep::Sample& s) { return c.key(s) == key; });
+      const std::vector<int> labels = ml::FeatureEncoder::labels(slice);
+      const auto positives = static_cast<std::size_t>(
+          std::count(labels.begin(), labels.end(), 1));
+      if (positives == 0 || positives == labels.size()) continue;
+      ml::StandardScaler scaler;
+      const ml::Matrix x = scaler.fit_transform(encoder.encode(slice));
+      ml::LogisticRegression model;
+      model.fit(x, labels);
+      InfluenceRow row;
+      row.group = key;
+      row.influence = model.normalized_influence();
+      row.model_accuracy = model.accuracy(x, labels);
+      row.positive_share =
+          static_cast<double>(positives) / static_cast<double>(labels.size());
+      row.samples = labels.size();
+      want.push_back(std::move(row));
+    }
+
+    const InfluenceMap got = influence_map(dataset, c.grouping);
+    EXPECT_EQ(got.feature_names, encoder.names()) << to_string(c.grouping);
+    ASSERT_EQ(got.rows.size(), want.size()) << to_string(c.grouping);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.rows[i].group, want[i].group);
+      EXPECT_EQ(got.rows[i].influence, want[i].influence) << want[i].group;
+      EXPECT_EQ(got.rows[i].model_accuracy, want[i].model_accuracy);
+      EXPECT_EQ(got.rows[i].positive_share, want[i].positive_share);
+      EXPECT_EQ(got.rows[i].samples, want[i].samples);
+    }
   }
 }
 

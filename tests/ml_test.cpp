@@ -185,6 +185,109 @@ TEST(LogisticRegressionTest, RejectsBadLabels) {
   EXPECT_THROW(model.predict(x), std::logic_error);
 }
 
+/// Norm of the fitted objective's gradient — mean log-loss plus
+/// l2/2 * |coef|^2, intercept unpenalized — computed here, independently of
+/// the solver's chunked accumulation.
+double objective_gradient_norm(const LogisticRegression& model, const Matrix& x,
+                               const std::vector<int>& y, double l2) {
+  const std::size_t d = x.cols();
+  const double n = static_cast<double>(x.rows());
+  std::vector<double> grad(d + 1, 0.0);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    double z = model.intercept();
+    for (std::size_t c = 0; c < d; ++c) z += model.coefficients()[c] * x.at(r, c);
+    const double err = sigmoid(z) - y[r];
+    for (std::size_t c = 0; c < d; ++c) grad[c] += err * x.at(r, c) / n;
+    grad[d] += err / n;
+  }
+  double norm2 = 0.0;
+  for (std::size_t c = 0; c <= d; ++c) {
+    if (c < d) grad[c] += l2 * model.coefficients()[c];
+    norm2 += grad[c] * grad[c];
+  }
+  return std::sqrt(norm2);
+}
+
+/// Fit with default options; the returned weights must be finite and a
+/// stationary point of the objective to within the tolerance.
+void expect_converged_fit(const Matrix& x, const std::vector<int>& y) {
+  const LogisticOptions options;
+  LogisticRegression model(options);
+  ASSERT_NO_THROW(model.fit(x, y));
+  for (const double c : model.coefficients()) EXPECT_TRUE(std::isfinite(c));
+  EXPECT_TRUE(std::isfinite(model.intercept()));
+  EXPECT_LT(objective_gradient_norm(model, x, y, options.l2), options.tolerance);
+}
+
+TEST(LogisticRegressionTest, ReturnsAStationaryPointOfTheObjective) {
+  // Noisy labels: no separating plane, a genuine interior optimum.
+  util::Xoshiro256 rng(5);
+  Matrix x(2500, 3);
+  std::vector<int> y(2500);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t c = 0; c < 3; ++c) x.at(r, c) = rng.normal();
+    const double z = 1.5 * x.at(r, 0) - 0.5 * x.at(r, 2) + 0.3;
+    y[r] = rng.uniform() < sigmoid(z) ? 1 : 0;
+  }
+  expect_converged_fit(x, y);
+}
+
+TEST(LogisticRegressionTest, SeparableLabelsConvergeToFiniteWeights) {
+  // Without the penalty the weights would grow without bound.
+  Matrix x(200, 2);
+  std::vector<int> y(200);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    x.at(r, 0) = static_cast<double>(r) / 10.0 - 10.0;
+    x.at(r, 1) = static_cast<double>(r % 7);
+    y[r] = x.at(r, 0) > 0.0 ? 1 : 0;
+  }
+  expect_converged_fit(x, y);
+}
+
+TEST(LogisticRegressionTest, ConstantColumnConvergesWithZeroWeight) {
+  // A standardized constant column is all zeros; one left raw duplicates
+  // the intercept. Both must leave the Newton system solvable.
+  util::Xoshiro256 rng(8);
+  for (const double constant : {0.0, 3.0}) {
+    Matrix x(500, 2);
+    std::vector<int> y(500);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      x.at(r, 0) = rng.normal();
+      x.at(r, 1) = constant;
+      y[r] = x.at(r, 0) + 0.5 * rng.normal() > 0.0 ? 1 : 0;
+    }
+    expect_converged_fit(x, y);
+    if (constant == 0.0) {
+      LogisticRegression model;
+      model.fit(x, y);
+      EXPECT_EQ(model.coefficients()[1], 0.0);
+    }
+  }
+}
+
+TEST(LogisticRegressionTest, OneVersusRestLabelsConverge) {
+  // A single positive among many: the intercept heads far negative.
+  util::Xoshiro256 rng(13);
+  Matrix x(1000, 2);
+  std::vector<int> y(1000, 0);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    x.at(r, 0) = rng.normal();
+    x.at(r, 1) = rng.normal();
+  }
+  y[417] = 1;
+  expect_converged_fit(x, y);
+}
+
+TEST(LogisticRegressionTest, RejectsNonPositivePenalty) {
+  Matrix x(2, 1);
+  x.at(0, 0) = -1.0;
+  x.at(1, 0) = 1.0;
+  LogisticOptions options;
+  options.l2 = 0.0;
+  LogisticRegression model(options);
+  EXPECT_THROW(model.fit(x, {0, 1}), std::invalid_argument);
+}
+
 TEST(Sigmoid, StableAtExtremes) {
   EXPECT_NEAR(sigmoid(0.0), 0.5, 1e-12);
   EXPECT_NEAR(sigmoid(800.0), 1.0, 1e-12);

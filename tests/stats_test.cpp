@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -63,6 +64,24 @@ TEST(Descriptive, QuantilesInterpolate) {
   EXPECT_DOUBLE_EQ(quantile(v, 0.5), 2.5);
   EXPECT_DOUBLE_EQ(median({5, 1, 3}), 3.0);
   EXPECT_THROW(quantile({1.0}, 1.5), std::invalid_argument);
+}
+
+TEST(Descriptive, QuantileOfUnsortedDataMatchesSortedReference) {
+  // quantile selects its two order statistics instead of sorting; on
+  // shuffled data with ties it must equal the sort-then-interpolate value.
+  util::Xoshiro256 rng(17);
+  std::vector<double> values(1001);
+  for (double& v : values) v = static_cast<double>(rng.uniform_index(200)) / 8.0;
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  for (const double q : {0.0, 0.1, 0.25, 0.37, 0.5, 0.9, 0.999, 1.0}) {
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const double want =
+        sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+    EXPECT_EQ(quantile(values, q), want) << q;
+  }
 }
 
 TEST(Descriptive, SummaryAgreesWithPieces) {

@@ -231,5 +231,30 @@ TEST(Dataset, FilterAndDistinct) {
             (std::vector<std::string>{"milan", "a64fx"}));
 }
 
+TEST(Dataset, AppendGrowsGeometrically) {
+  // Collection appends one batch per setting; an exact-size reserve per
+  // append would reallocate (and move every sample so far) each time.
+  constexpr int kAppends = 4096;
+  Dataset dataset;
+  int capacity_changes = 0;
+  std::size_t capacity = dataset.samples().capacity();
+  for (int i = 0; i < kAppends; ++i) {
+    Dataset one;
+    Sample s;
+    s.threads = i;
+    one.add(std::move(s));
+    dataset.append(std::move(one));
+    if (dataset.samples().capacity() != capacity) {
+      capacity = dataset.samples().capacity();
+      ++capacity_changes;
+    }
+  }
+  EXPECT_LE(capacity_changes, 2 * 12);  // 2 * log2(4096)
+  ASSERT_EQ(dataset.size(), static_cast<std::size_t>(kAppends));
+  for (int i = 0; i < kAppends; ++i) {
+    EXPECT_EQ(dataset.samples()[static_cast<std::size_t>(i)].threads, i);
+  }
+}
+
 }  // namespace
 }  // namespace omptune::sweep

@@ -87,6 +87,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -188,7 +189,8 @@ int usage() {
       "                                    engine (default: the\n"
       "                                    OMPTUNE_ANALYSIS_THREADS variable,\n"
       "                                    then all hardware threads); results\n"
-      "                                    are identical at any thread count\n");
+      "                                    are identical at any thread count\n"
+      "exit status: 0 success, 1 failure, 2 usage error, 66 input not found\n");
   return 2;
 }
 
@@ -262,17 +264,37 @@ int cmd_list() {
   return 0;
 }
 
-/// Parse the numeric value of a `--flag=N` argument; exits with a message
-/// naming the flag on anything that is not a plain non-negative integer.
-long long flag_value(const std::string& arg, std::size_t prefix_len) {
-  const std::string value = arg.substr(prefix_len);
-  const std::string flag = arg.substr(0, prefix_len - 1);
-  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
+/// Parse a numeric argument; exits 2 (a usage error) with a message naming
+/// the argument on anything that is not a plain non-negative integer of at
+/// most 18 digits, so std::stoll can neither reject nor overflow it.
+long long count_value(const std::string& name, const std::string& value) {
+  if (value.empty() || value.size() > 18 ||
+      value.find_first_not_of("0123456789") != std::string::npos) {
     std::fprintf(stderr, "omptune: %s expects a non-negative integer, got '%s'\n",
-                 flag.c_str(), value.c_str());
+                 name.c_str(), value.c_str());
     std::exit(2);
   }
   return std::stoll(value);
+}
+
+/// The numeric value of a `--flag=N` argument, checked by count_value.
+long long flag_value(const std::string& arg, std::size_t prefix_len) {
+  return count_value(arg.substr(0, prefix_len - 1), arg.substr(prefix_len));
+}
+
+/// Exit status for a named input file that does not exist (EX_NOINPUT of
+/// sysexits.h): the caller's mistake, unlike a transient store fault.
+constexpr int kExitNoInput = 66;
+
+/// Whether the input file `path` exists; when it does not, prints a
+/// not-found error naming it. Other stat failures (permissions) are left
+/// to the open that follows, which reports them.
+bool input_found(const char* command, const std::string& path) {
+  std::error_code error;
+  if (std::filesystem::exists(path, error) || error) return true;
+  std::fprintf(stderr, "omptune %s: input not found: '%s'\n", command,
+               path.c_str());
+  return false;
 }
 
 int cmd_study(int argc, char** argv) {
@@ -327,7 +349,10 @@ int cmd_study(int argc, char** argv) {
   // is expected to survive bad samples.
   if (!options.journal_dir.empty()) options.resilient = true;
 
-  const std::size_t configs = !positional.empty() ? std::stoul(positional[0]) : 0;
+  const std::size_t configs =
+      positional.empty() ? 0
+                         : static_cast<std::size_t>(
+                               count_value("study [configs]", positional[0]));
   sim::ModelRunner runner;
   core::Study study(runner);
   sweep::StudyPlan plan = sweep::StudyPlan::paper_plan();
@@ -458,7 +483,8 @@ int cmd_coordinate(int argc, char** argv) {
   if (positional.size() == 1 && positional[0].ends_with(".omps")) {
     out = positional[0];
   } else if (positional.size() >= 2) {
-    configs = std::stoul(positional[0]);
+    configs = static_cast<std::size_t>(
+        count_value("coordinate [configs]", positional[0]));
     out = positional[1];
   }
   if (out.empty()) {
@@ -555,6 +581,7 @@ int cmd_coordinate(int argc, char** argv) {
 int cmd_analyze(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string path = argv[2];
+  if (!input_found("analyze", path)) return kExitNoInput;
   const util::ThreadPool pool = make_analysis_pool();
   sim::ModelRunner runner;
   core::Study study(runner);
@@ -669,9 +696,9 @@ int cmd_query(int argc, char** argv) {
     if (util::starts_with(arg, "--remote=")) {
       remote_socket = arg.substr(9);
     } else if (util::starts_with(arg, "--retries=")) {
-      retry.max_attempts = std::stoi(arg.substr(10));
+      retry.max_attempts = static_cast<int>(flag_value(arg, 10));
     } else if (util::starts_with(arg, "--retry-timeout-ms=")) {
-      retry.socket_timeout_ms = std::stoi(arg.substr(19));
+      retry.socket_timeout_ms = static_cast<int>(flag_value(arg, 19));
     } else if (util::starts_with(arg, "--")) {
       std::fprintf(stderr, "omptune query: unknown flag '%s'\n", arg.c_str());
       return usage();
@@ -687,6 +714,7 @@ int cmd_query(int argc, char** argv) {
   const std::string& path = positional[0];
   const std::string& app = positional[1];
   const std::string& arch = positional[2];
+  if (!input_found("query", path)) return kExitNoInput;
 
   const store::StoreReader reader(path);
   store::StoreQuery query;
@@ -867,6 +895,7 @@ int cmd_recommend(int argc, char** argv) {
   if (!store_path.empty()) {
     // Store-backed path: the index materializes only this architecture's
     // slice and this application's rows — no study re-run, no CSV parsing.
+    if (!input_found("recommend", store_path)) return kExitNoInput;
     const store::StoreReader reader(store_path);
     const core::KnowledgeBase kb(reader, arch, 1.01, &pool);
     print_recommendation(
@@ -885,7 +914,9 @@ int cmd_tune(int argc, char** argv) {
   const std::string app_name = argv[2];
   const std::string arch_name = argv[3];
   const std::string strategy = argc > 4 ? argv[4] : "hill";
-  const std::size_t budget = argc > 5 ? std::stoul(argv[5]) : 64;
+  const std::size_t budget =
+      argc > 5 ? static_cast<std::size_t>(count_value("tune [budget]", argv[5]))
+               : 64;
 
   const apps::Application& app = apps::find_application(app_name);
   const arch::CpuArch& cpu = arch::architecture(arch::arch_from_string(arch_name));
