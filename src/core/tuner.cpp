@@ -44,75 +44,97 @@ std::vector<std::string> order_from_row(const analysis::InfluenceMap& map,
   return order;
 }
 
-/// The architecture's rows of a store, via the setting index.
-sweep::Dataset arch_slice(const store::StoreReader& reader,
-                          const std::string& arch) {
-  store::StoreQuery query;
-  query.arch = arch;
-  return reader.query(query);
-}
-
 }  // namespace
 
-KnowledgeBase::KnowledgeBase(const sweep::Dataset& dataset,
-                             double label_threshold,
-                             const util::ThreadPool* pool)
-    : dataset_(&dataset),
-      pair_influence_(analysis::influence_map(
-          dataset, analysis::Grouping::PerArchApplication, label_threshold, {},
-          pool)),
-      arch_influence_(analysis::influence_map(
-          dataset, analysis::Grouping::PerArchitecture, label_threshold, {},
-          pool)) {}
-
-KnowledgeBase::KnowledgeBase(const store::StoreReader& reader,
-                             const std::string& arch, double label_threshold,
-                             const util::ThreadPool* pool)
-    : owned_(arch_slice(reader, arch)),
-      dataset_(&owned_),
-      pair_influence_(analysis::influence_map(
-          owned_, analysis::Grouping::PerArchApplication, label_threshold, {},
-          pool)),
-      arch_influence_(analysis::influence_map(
-          owned_, analysis::Grouping::PerArchitecture, label_threshold, {},
-          pool)) {}
-
-std::vector<std::string> KnowledgeBase::variable_priority(
-    const std::string& app, const std::string& arch) const {
+std::vector<std::string> priority_ladder(
+    const std::string& app, const std::string& arch,
+    const std::function<const analysis::InfluenceMap&()>& pair_map,
+    const std::function<const analysis::InfluenceMap&()>& arch_map) {
   const std::string pair_key = arch + "/" + app;
-  for (const analysis::InfluenceRow& row : pair_influence_.rows) {
-    if (row.group == pair_key) return order_from_row(pair_influence_, row);
+  const analysis::InfluenceMap& pairs = pair_map();
+  for (const analysis::InfluenceRow& row : pairs.rows) {
+    if (row.group == pair_key) return order_from_row(pairs, row);
   }
-  for (const analysis::InfluenceRow& row : arch_influence_.rows) {
-    if (row.group == arch) return order_from_row(arch_influence_, row);
+  const analysis::InfluenceMap& archs = arch_map();
+  for (const analysis::InfluenceRow& row : archs.rows) {
+    if (row.group == arch) return order_from_row(archs, row);
   }
   return fig3_fallback_order();
 }
 
+KnowledgeBase::KnowledgeBase(const sweep::Dataset& dataset,
+                             double label_threshold,
+                             const util::ThreadPool* pool)
+    : dataset_(&dataset), label_threshold_(label_threshold), pool_(pool) {}
+
+KnowledgeBase::KnowledgeBase(const store::StoreReader& reader,
+                             const std::string& arch, double label_threshold,
+                             const util::ThreadPool* pool)
+    : reader_(&reader),
+      reader_arch_(arch),
+      label_threshold_(label_threshold),
+      pool_(pool) {}
+
+sweep::Dataset KnowledgeBase::rows(const std::string& arch,
+                                   const std::string* app) const {
+  if (dataset_ != nullptr) {
+    return dataset_->filter([&](const sweep::Sample& s) {
+      return s.arch == arch && (app == nullptr || s.app == *app);
+    });
+  }
+  if (arch != reader_arch_) return sweep::Dataset();
+  store::StoreQuery query;
+  query.arch = arch;
+  if (app != nullptr) query.app = *app;
+  return reader_->query(query);
+}
+
+sweep::Dataset KnowledgeBase::pair_rows(const std::string& app,
+                                        const std::string& arch) const {
+  sweep::Dataset pair = rows(arch, &app);
+  if (pair.size() == 0) {
+    throw std::invalid_argument("KnowledgeBase: no samples for " + app + " on " + arch);
+  }
+  return pair;
+}
+
+std::vector<std::string> KnowledgeBase::variable_priority(
+    const std::string& app, const std::string& arch) const {
+  // A group's fit is the fit of its rows alone, so fitting just the pair
+  // (or just the architecture) gives the row a whole-slice map would hold.
+  analysis::InfluenceMap pair_map, arch_map;
+  return priority_ladder(
+      app, arch,
+      [&]() -> const analysis::InfluenceMap& {
+        pair_map = analysis::influence_map(
+            rows(arch, &app), analysis::Grouping::PerArchApplication,
+            label_threshold_, {}, pool_);
+        return pair_map;
+      },
+      [&]() -> const analysis::InfluenceMap& {
+        arch_map = analysis::influence_map(
+            rows(arch), analysis::Grouping::PerArchitecture, label_threshold_,
+            {}, pool_);
+        return arch_map;
+      });
+}
+
 rt::RtConfig KnowledgeBase::best_known_config(const std::string& app,
                                               const std::string& arch) const {
-  const sweep::Sample* best = nullptr;
-  for (const sweep::Sample& s : dataset_->samples()) {
-    if (s.app != app || s.arch != arch) continue;
-    if (best == nullptr || s.speedup > best->speedup) best = &s;
-  }
-  if (best == nullptr) {
-    throw std::invalid_argument("KnowledgeBase: no samples for " + app + " on " + arch);
+  const sweep::Dataset pair = pair_rows(app, arch);
+  const sweep::Sample* best = &pair.samples().front();
+  for (const sweep::Sample& s : pair.samples()) {
+    if (s.speedup > best->speedup) best = &s;
   }
   return best->config;
 }
 
 double KnowledgeBase::best_known_speedup(const std::string& app,
                                          const std::string& arch) const {
+  const sweep::Dataset pair = pair_rows(app, arch);
   double best = 0.0;
-  bool found = false;
-  for (const sweep::Sample& s : dataset_->samples()) {
-    if (s.app != app || s.arch != arch) continue;
+  for (const sweep::Sample& s : pair.samples()) {
     best = std::max(best, s.speedup);
-    found = true;
-  }
-  if (!found) {
-    throw std::invalid_argument("KnowledgeBase: no samples for " + app + " on " + arch);
   }
   return best;
 }

@@ -31,25 +31,38 @@ class ThreadPool;
 namespace omptune::core {
 
 /// Knowledge-based recommendations backed by a study dataset.
+///
+/// Pair-scoped: construction only records where the samples live and does
+/// no work. Each answer reads just the rows it needs — the asked pair's,
+/// plus the architecture's when variable_priority() has to fall back — and
+/// fits its influence model then. Every const member may be called
+/// concurrently (the reader and the pool are themselves safe for that).
+///
+/// The knowledge base borrows its source: the dataset, or the reader, and
+/// the pool must outlive it. Binding a temporary dataset does not compile.
 class KnowledgeBase {
  public:
-  /// The influence maps behind variable_priority() fit one model per group;
-  /// with a pool those fits run concurrently (identical maps either way).
+  /// Answers from an in-memory dataset. With a pool, a group fit's Newton
+  /// passes run on it (identical answers either way).
   explicit KnowledgeBase(const sweep::Dataset& dataset,
                          double label_threshold = 1.01,
                          const util::ThreadPool* pool = nullptr);
+  KnowledgeBase(sweep::Dataset&&, double = 1.01,
+                const util::ThreadPool* = nullptr) = delete;
 
-  /// Build from an indexed .omps store, materializing only `arch`'s slice
-  /// of the dataset — the recommend hot path never parses the other
-  /// architectures' rows (or any CSV). The slice is owned by the knowledge
-  /// base; the reader is only used during construction.
+  /// Answers from an indexed .omps store, scoped to `arch`: each answer
+  /// materializes only the matching index runs of that architecture, and
+  /// any other architecture reads as unstudied.
   KnowledgeBase(const store::StoreReader& reader, const std::string& arch,
                 double label_threshold = 1.01,
                 const util::ThreadPool* pool = nullptr);
+  KnowledgeBase(store::StoreReader&&, const std::string&, double = 1.01,
+                const util::ThreadPool* = nullptr) = delete;
 
   /// Environment variables ordered by decreasing influence for the pair
-  /// (falls back to the per-architecture, then global ordering when the
-  /// pair was not studied). Names use the paper's spellings.
+  /// (falls back to the per-architecture, then the paper's Fig 3 ordering
+  /// when the pair's samples do not separate; see priority_ladder). Names
+  /// use the paper's spellings.
   std::vector<std::string> variable_priority(const std::string& app,
                                              const std::string& arch) const;
 
@@ -61,14 +74,30 @@ class KnowledgeBase {
   /// Expected speedup of best_known_config over the default.
   double best_known_speedup(const std::string& app, const std::string& arch) const;
 
-  const analysis::InfluenceMap& pair_influence() const { return pair_influence_; }
-
  private:
-  sweep::Dataset owned_;  ///< store-backed slice; empty for borrowed datasets
-  const sweep::Dataset* dataset_;
-  analysis::InfluenceMap pair_influence_;
-  analysis::InfluenceMap arch_influence_;
+  /// The source's rows of `arch`, in source order; only `app`'s when set.
+  sweep::Dataset rows(const std::string& arch,
+                      const std::string* app = nullptr) const;
+  /// The pair's rows, or std::invalid_argument when it has none.
+  sweep::Dataset pair_rows(const std::string& app, const std::string& arch) const;
+
+  const sweep::Dataset* dataset_ = nullptr;
+  const store::StoreReader* reader_ = nullptr;
+  std::string reader_arch_;
+  double label_threshold_;
+  const util::ThreadPool* pool_;
 };
+
+/// The variable-priority fallback ladder, shared by KnowledgeBase and the
+/// serving snapshot so the two cannot disagree: the pair's row of
+/// `pair_map()` (a per-architecture-application influence map), else the
+/// architecture's row of `arch_map()` (per-architecture), else the paper's
+/// Fig 3 ordering. Each map is asked for only when the ladder reaches its
+/// rung, so a caller can fit it lazily.
+std::vector<std::string> priority_ladder(
+    const std::string& app, const std::string& arch,
+    const std::function<const analysis::InfluenceMap&()>& pair_map,
+    const std::function<const analysis::InfluenceMap&()>& arch_map);
 
 /// Search-based tuning over a Runner.
 class Tuner {

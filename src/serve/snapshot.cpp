@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analysis/influence.hpp"
 #include "analysis/speedup.hpp"
 #include "core/tuner.hpp"
 #include "store/reader.hpp"
@@ -32,7 +33,7 @@ std::string marginal_key(const std::string& arch, const std::string& variable,
 }
 
 /// A name no real application or architecture can have, used to walk
-/// KnowledgeBase::variable_priority down its fallback ladder on purpose.
+/// core::priority_ladder down to its lower rungs on purpose.
 const std::string kNoSuchGroup(1, kSep);
 
 }  // namespace
@@ -61,8 +62,7 @@ std::shared_ptr<const Snapshot> Snapshot::load(
   std::vector<analysis::SettingBest> bests;
   std::vector<analysis::MarginalRow> per_arch, pooled;
   std::vector<std::string> archs, apps;
-  sweep::Dataset merged;  // multi-shard only; must outlive the KB below
-  std::unique_ptr<core::KnowledgeBase> merged_kb;
+  sweep::Dataset merged;  // multi-shard only
   if (snapshot->readers_.size() == 1) {
     const store::StoreReader& reader = *snapshot->readers_.front();
     bests = analysis::best_per_setting(reader, pool);
@@ -80,7 +80,6 @@ std::shared_ptr<const Snapshot> Snapshot::load(
     pooled = analysis::value_marginals(merged, false);
     archs = merged.distinct([](const sweep::Sample& s) { return s.arch; });
     apps = merged.distinct([](const sweep::Sample& s) { return s.app; });
-    merged_kb = std::make_unique<core::KnowledgeBase>(merged, 1.01, pool);
   }
 
   for (const analysis::SettingBest& best : bests) {
@@ -104,21 +103,33 @@ std::shared_ptr<const Snapshot> Snapshot::load(
   // app), and the global fallback (both keys empty). Query-time lookups
   // walk that ladder, so a pair the study never covered still gets the
   // most useful ordering available — without a model fit on the hot path.
+  // Every pair is wanted here, so each architecture's slice is fitted in
+  // bulk (two maps) and read through the same ladder as KnowledgeBase.
   for (const std::string& arch : archs) {
-    std::unique_ptr<core::KnowledgeBase> arch_kb;
-    const core::KnowledgeBase* kb = merged_kb.get();
-    if (kb == nullptr) {
-      arch_kb = std::make_unique<core::KnowledgeBase>(
-          *snapshot->readers_.front(), arch, 1.01, pool);
-      kb = arch_kb.get();
+    sweep::Dataset slice;
+    if (snapshot->readers_.size() == 1) {
+      store::StoreQuery query;
+      query.arch = arch;
+      slice = snapshot->readers_.front()->query(query);
+    } else {
+      slice = merged.filter(
+          [&arch](const sweep::Sample& s) { return s.arch == arch; });
     }
+    const analysis::InfluenceMap pair_map = analysis::influence_map(
+        slice, analysis::Grouping::PerArchApplication, 1.01, {}, pool);
+    const analysis::InfluenceMap arch_map = analysis::influence_map(
+        slice, analysis::Grouping::PerArchitecture, 1.01, {}, pool);
+    const auto pairs = [&]() -> const analysis::InfluenceMap& { return pair_map; };
+    const auto by_arch = [&]() -> const analysis::InfluenceMap& { return arch_map; };
     for (const std::string& app : apps) {
-      snapshot->priority_[pair_key(app, arch)] = kb->variable_priority(app, arch);
+      snapshot->priority_[pair_key(app, arch)] =
+          core::priority_ladder(app, arch, pairs, by_arch);
     }
     snapshot->priority_[pair_key("", arch)] =
-        kb->variable_priority(kNoSuchGroup, arch);
+        core::priority_ladder(kNoSuchGroup, arch, pairs, by_arch);
     snapshot->priority_.try_emplace(
-        pair_key("", ""), kb->variable_priority(kNoSuchGroup, kNoSuchGroup));
+        pair_key("", ""),
+        core::priority_ladder(kNoSuchGroup, kNoSuchGroup, pairs, by_arch));
   }
 
   return snapshot;

@@ -77,9 +77,10 @@ class Snapshot {
                                         const std::string& value) const;
 
   /// Influence-ordered variable priority for (app, arch), falling back to
-  /// the arch-level, then the global ordering — the same ladder as
-  /// core::KnowledgeBase::variable_priority. Never nullptr on a snapshot
-  /// with any samples; nullptr on an empty one.
+  /// the arch-level, then the global ordering — core::priority_ladder,
+  /// which core::KnowledgeBase::variable_priority walks too, filled in at
+  /// load time. Never nullptr on a snapshot with any samples; nullptr on
+  /// an empty one.
   const std::vector<std::string>* priority(const std::string& app,
                                            const std::string& arch) const;
 

@@ -453,8 +453,6 @@ sweep::Sample StoreReader::materialize_row(std::size_t row) const {
     }
     s.runtimes.push_back(value);
   }
-  runtime_bytes_touched_.fetch_add(8u * runtime_count,
-                                   std::memory_order_relaxed);
 
   const std::size_t error_offset = 4 * row;
   const auto error_code = load_scalar<std::uint32_t>(at(error_section, error_offset));
@@ -475,9 +473,13 @@ sweep::Dataset StoreReader::load(const util::ThreadPool* pool) const {
   std::vector<sweep::Sample> samples(sample_count_);
   util::parallel_for(pool, sample_count_, 1024,
                      [&](std::size_t begin, std::size_t end, std::size_t) {
+                       std::uint64_t runtime_bytes = 0;
                        for (std::size_t row = begin; row < end; ++row) {
                          samples[row] = materialize_row(row);
+                         runtime_bytes += 8u * samples[row].runtimes.size();
                        }
+                       runtime_bytes_touched_.fetch_add(
+                           runtime_bytes, std::memory_order_relaxed);
                      });
   return sweep::Dataset(std::move(samples));
 }
@@ -627,19 +629,30 @@ sweep::Dataset StoreReader::query(const StoreQuery& query) const {
   const auto app_code = resolve(query.app, 1);
   const auto input_code = resolve(query.input, 2);
 
-  sweep::Dataset out;
+  std::vector<const IndexRun*> matched;
+  std::size_t total_rows = 0;
   for (const IndexRun& run : index_) {
     if (arch_code && run.arch != *arch_code) continue;
     if (app_code && run.app != *app_code) continue;
     if (input_code && run.input != *input_code) continue;
     if (query.threads && run.threads != *query.threads) continue;
-    const std::size_t first = static_cast<std::size_t>(run.first_row);
-    const std::size_t rows = static_cast<std::size_t>(run.row_count);
-    for (std::size_t row = first; row < first + rows; ++row) {
-      out.add(materialize_row(row));
-    }
+    matched.push_back(&run);
+    total_rows += static_cast<std::size_t>(run.row_count);
   }
-  return out;
+
+  std::vector<sweep::Sample> samples;
+  samples.reserve(total_rows);
+  for (const IndexRun* run : matched) {
+    const std::size_t first = static_cast<std::size_t>(run->first_row);
+    const std::size_t rows = static_cast<std::size_t>(run->row_count);
+    std::uint64_t runtime_bytes = 0;
+    for (std::size_t row = first; row < first + rows; ++row) {
+      samples.push_back(materialize_row(row));
+      runtime_bytes += 8u * samples.back().runtimes.size();
+    }
+    runtime_bytes_touched_.fetch_add(runtime_bytes, std::memory_order_relaxed);
+  }
+  return sweep::Dataset(std::move(samples));
 }
 
 }  // namespace omptune::store

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -55,32 +56,82 @@ double finite_or_throw(double value, const char* what, std::size_t row) {
 
 void pad_to_8(std::string& out) { out.resize(pad8(out.size()), '\0'); }
 
-/// Pad an in-section array boundary to `align` bytes.
-void pad_to(std::string& out, std::size_t align) {
-  while (out.size() % align != 0) out.push_back('\0');
-}
+/// One fixed-layout section, placed in the file buffer and filled column
+/// by column. Columns must be declared in layout order; each must start at
+/// or after the previous one's end and fit the section, so a writer/layout
+/// drift (a width or order changed on one side only) throws instead of
+/// writing a file the reader would misparse.
+class SectionWriter {
+ public:
+  SectionWriter(std::string& file, std::size_t offset, std::size_t bytes)
+      : base_(file.data() + offset), bytes_(bytes) {}
+
+  /// One typed array: row i's value lands at `offset + i * sizeof(T)`.
+  template <typename T>
+  class Column {
+   public:
+    void put(std::size_t row, T value) const {
+      std::memcpy(at_ + row * sizeof(T), &value, sizeof(T));
+    }
+
+   private:
+    friend class SectionWriter;
+    explicit Column(char* at) : at_(at) {}
+    char* at_;
+  };
+
+  template <typename T>
+  Column<T> column(std::size_t offset, std::size_t rows) {
+    if (offset < end_ || offset % sizeof(T) != 0 ||
+        offset + sizeof(T) * rows > bytes_) {
+      throw std::logic_error("write_store: section layout drifted from format.hpp");
+    }
+    end_ = offset + sizeof(T) * rows;
+    return Column<T>(base_ + offset);
+  }
+
+ private:
+  char* base_;
+  std::size_t bytes_;
+  std::size_t end_ = 0;
+};
 
 }  // namespace
 
 std::string serialize_store(const Dataset& dataset) {
   const std::vector<Sample>& samples = dataset.samples();
   const std::size_t n = samples.size();
-  std::size_t reps = 0;
-  for (const Sample& s : samples) reps = std::max(reps, s.runtimes.size());
 
-  // ---- dictionaries (and per-sample codes, built in one pass) ----
+  // ---- pass 1: dictionary codes, index runs and the runtime stride ----
+  // These size the two variable-length sections; every other section's
+  // size follows from n and reps alone.
+  struct Run {
+    std::uint16_t arch, app, input;
+    std::int32_t threads;
+    std::uint64_t first_row, row_count;
+  };
+  std::vector<Run> runs;
   Dict arch_dict, app_dict, input_dict, suite_dict, kind_dict, error_dict;
-  std::vector<std::uint16_t> arch_code(n), app_code(n), input_code(n);
   std::vector<std::uint16_t> suite_code(n), kind_code(n);
   std::vector<std::uint32_t> error_code(n);
+  std::size_t reps = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Sample& s = samples[i];
-    arch_code[i] = narrow16(arch_dict.code(s.arch), "arch");
-    app_code[i] = narrow16(app_dict.code(s.app), "app");
-    input_code[i] = narrow16(input_dict.code(s.input), "input");
+    const std::uint16_t arch = narrow16(arch_dict.code(s.arch), "arch");
+    const std::uint16_t app = narrow16(app_dict.code(s.app), "app");
+    const std::uint16_t input = narrow16(input_dict.code(s.input), "input");
     suite_code[i] = narrow16(suite_dict.code(s.suite), "suite");
     kind_code[i] = narrow16(kind_dict.code(s.kind), "kind");
     error_code[i] = error_dict.code(s.error);
+    reps = std::max(reps, s.runtimes.size());
+    const bool extends = !runs.empty() && runs.back().arch == arch &&
+                         runs.back().app == app && runs.back().input == input &&
+                         runs.back().threads == s.threads;
+    if (extends) {
+      ++runs.back().row_count;
+    } else {
+      runs.push_back(Run{arch, app, input, s.threads, i, 1});
+    }
   }
 
   std::string dictionaries;
@@ -92,117 +143,6 @@ std::string serialize_store(const Dataset& dataset) {
   append_dict(dictionaries, error_dict);
   pad_to_8(dictionaries);
 
-  // ---- key columns ----
-  std::string key_cols;
-  for (std::size_t i = 0; i < n; ++i) append_scalar(key_cols, arch_code[i]);
-  for (std::size_t i = 0; i < n; ++i) append_scalar(key_cols, app_code[i]);
-  for (std::size_t i = 0; i < n; ++i) append_scalar(key_cols, input_code[i]);
-  pad_to(key_cols, 4);
-  for (std::size_t i = 0; i < n; ++i) {
-    append_scalar<std::int32_t>(key_cols, samples[i].threads);
-  }
-  pad_to_8(key_cols);
-
-  // ---- config columns (widest first so every array stays aligned) ----
-  std::string config_cols;
-  for (const Sample& s : samples) {
-    append_scalar<std::int64_t>(config_cols, s.config.blocktime_ms);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::int32_t>(config_cols, s.config.num_threads);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::int32_t>(config_cols, s.config.chunk);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::int32_t>(config_cols, s.config.align_alloc);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::int32_t>(config_cols, s.attempts);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint16_t>(config_cols,
-                                 static_cast<std::uint16_t>(s.runtimes.size()));
-  }
-  for (const Sample& s : samples) append_scalar(config_cols, suite_code[&s - samples.data()]);
-  for (const Sample& s : samples) append_scalar(config_cols, kind_code[&s - samples.data()]);
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols,
-                                static_cast<std::uint8_t>(s.config.places));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols, static_cast<std::uint8_t>(s.config.bind));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols,
-                                static_cast<std::uint8_t>(s.config.schedule));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols,
-                                static_cast<std::uint8_t>(s.config.library));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols,
-                                static_cast<std::uint8_t>(s.config.reduction));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols, static_cast<std::uint8_t>(s.status));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols, s.is_default ? 1 : 0);
-  }
-  pad_to_8(config_cols);
-
-  // ---- stat columns ----
-  std::string stat_cols;
-  for (std::size_t i = 0; i < n; ++i) {
-    append_scalar(stat_cols, finite_or_throw(samples[i].mean_runtime, "mean_runtime", i));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    append_scalar(stat_cols,
-                  finite_or_throw(samples[i].default_runtime, "default_runtime", i));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    append_scalar(stat_cols, finite_or_throw(samples[i].speedup, "speedup", i));
-  }
-
-  // ---- runtimes (fixed stride, zero-padded like the CSV schema) ----
-  std::string runtimes;
-  runtimes.reserve(n * reps * sizeof(double));
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = samples[i];
-    for (std::size_t r = 0; r < reps; ++r) {
-      append_scalar(runtimes,
-                    r < s.runtimes.size()
-                        ? finite_or_throw(s.runtimes[r], "runtime", i)
-                        : 0.0);
-    }
-  }
-
-  // ---- error codes ----
-  std::string errors;
-  for (std::size_t i = 0; i < n; ++i) append_scalar(errors, error_code[i]);
-  pad_to_8(errors);
-
-  // ---- index: runs of identical (arch, app, input, threads) keys ----
-  struct Run {
-    std::uint16_t arch, app, input;
-    std::int32_t threads;
-    std::uint64_t first_row, row_count;
-  };
-  std::vector<Run> runs;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool extends = !runs.empty() && runs.back().arch == arch_code[i] &&
-                         runs.back().app == app_code[i] &&
-                         runs.back().input == input_code[i] &&
-                         runs.back().threads == samples[i].threads;
-    if (extends) {
-      ++runs.back().row_count;
-    } else {
-      runs.push_back(Run{arch_code[i], app_code[i], input_code[i],
-                         samples[i].threads, i, 1});
-    }
-  }
   std::string index;
   append_scalar<std::uint64_t>(index, runs.size());
   for (const Run& run : runs) {
@@ -216,58 +156,133 @@ std::string serialize_store(const Dataset& dataset) {
     append_scalar(index, run.row_count);
   }
 
-  // The writer's append order and the shared layout helpers must agree;
-  // catching a drift here turns a subtle reader bug into a loud writer one.
-  if (key_cols.size() != key_columns_layout(n).bytes ||
-      config_cols.size() != config_columns_layout(n).bytes ||
-      stat_cols.size() != stat_columns_layout(n).bytes ||
-      runtimes.size() != runtimes_bytes(n, reps) ||
-      errors.size() != errors_bytes(n)) {
-    throw std::logic_error("write_store: section layout drifted from format.hpp");
-  }
-
-  // ---- assemble header + section table + sections ----
-  const std::string* sections[kSectionCount] = {
-      &dictionaries, &key_cols, &config_cols, &stat_cols,
-      &runtimes,     &errors,   &index};
+  // ---- the file: one buffer, every section at its final offset ----
+  const KeyColumnsLayout key = key_columns_layout(n);
+  const ConfigColumnsLayout cfg = config_columns_layout(n);
+  const StatColumnsLayout stat = stat_columns_layout(n);
   const SectionKind kinds[kSectionCount] = {
       SectionKind::Dictionaries, SectionKind::KeyColumns,
       SectionKind::ConfigColumns, SectionKind::StatColumns,
       SectionKind::Runtimes,      SectionKind::Errors,
       SectionKind::Index};
-
+  const std::size_t sizes[kSectionCount] = {
+      dictionaries.size(), key.bytes, cfg.bytes, stat.bytes,
+      runtimes_bytes(n, reps), errors_bytes(n), index.size()};
   const std::size_t header_bytes =
       kHeaderBytes + kSectionCount * kSectionEntryBytes;
+  std::size_t offsets[kSectionCount];
   std::size_t file_bytes = header_bytes;
-  for (const std::string* s : sections) file_bytes += s->size();
-
-  std::string out;
-  out.reserve(file_bytes);
-  out.append(kMagic, sizeof(kMagic));
-  append_scalar<std::uint32_t>(out, kVersion);
-  append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(header_bytes));
-  append_scalar<std::uint64_t>(out, file_bytes);
-  append_scalar<std::uint64_t>(out, n);
-  append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(reps));
-  append_scalar<std::uint32_t>(out, kSectionCount);
-  const std::size_t checksum_at = out.size();
-  append_scalar<std::uint64_t>(out, 0);  // header checksum, patched below
-
-  std::size_t offset = header_bytes;
   for (std::size_t i = 0; i < kSectionCount; ++i) {
-    append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(kinds[i]));
-    append_scalar<std::uint32_t>(out, 0);
-    append_scalar<std::uint64_t>(out, offset);
-    append_scalar<std::uint64_t>(out, sections[i]->size());
-    append_scalar<std::uint64_t>(out,
-                                 checksum_bytes(sections[i]->data(), sections[i]->size()));
-    offset += sections[i]->size();
+    offsets[i] = file_bytes;
+    file_bytes += sizes[i];
+  }
+  std::string out(file_bytes, '\0');
+  std::memcpy(out.data() + offsets[0], dictionaries.data(), sizes[0]);
+  std::memcpy(out.data() + offsets[6], index.data(), sizes[6]);
+
+  // ---- pass 2: every fixed-layout column, straight into the file ----
+  SectionWriter key_cols(out, offsets[1], sizes[1]);
+  SectionWriter config_cols(out, offsets[2], sizes[2]);
+  SectionWriter stat_cols(out, offsets[3], sizes[3]);
+  SectionWriter runtime_block(out, offsets[4], sizes[4]);
+  SectionWriter errors(out, offsets[5], sizes[5]);
+
+  const auto arch_col = key_cols.column<std::uint16_t>(key.arch, n);
+  const auto app_col = key_cols.column<std::uint16_t>(key.app, n);
+  const auto input_col = key_cols.column<std::uint16_t>(key.input, n);
+  const auto threads_col = key_cols.column<std::int32_t>(key.threads, n);
+
+  // Config columns, widest first so every array stays aligned.
+  const auto blocktime_col = config_cols.column<std::int64_t>(cfg.blocktime, n);
+  const auto num_threads_col = config_cols.column<std::int32_t>(cfg.num_threads, n);
+  const auto chunk_col = config_cols.column<std::int32_t>(cfg.chunk, n);
+  const auto align_col = config_cols.column<std::int32_t>(cfg.align, n);
+  const auto attempts_col = config_cols.column<std::int32_t>(cfg.attempts, n);
+  const auto runtime_count_col =
+      config_cols.column<std::uint16_t>(cfg.runtime_count, n);
+  const auto suite_col = config_cols.column<std::uint16_t>(cfg.suite, n);
+  const auto kind_col = config_cols.column<std::uint16_t>(cfg.kind, n);
+  const auto places_col = config_cols.column<std::uint8_t>(cfg.places, n);
+  const auto bind_col = config_cols.column<std::uint8_t>(cfg.bind, n);
+  const auto schedule_col = config_cols.column<std::uint8_t>(cfg.schedule, n);
+  const auto library_col = config_cols.column<std::uint8_t>(cfg.library, n);
+  const auto reduction_col = config_cols.column<std::uint8_t>(cfg.reduction, n);
+  const auto status_col = config_cols.column<std::uint8_t>(cfg.status, n);
+  const auto is_default_col = config_cols.column<std::uint8_t>(cfg.is_default, n);
+
+  const auto mean_col = stat_cols.column<double>(stat.mean, n);
+  const auto default_col = stat_cols.column<double>(stat.deflt, n);
+  const auto speedup_col = stat_cols.column<double>(stat.speedup, n);
+
+  // Fixed stride, zero-padded like the CSV schema.
+  const auto runtime_col = runtime_block.column<double>(0, n * reps);
+  const auto error_col = errors.column<std::uint32_t>(0, n);
+
+  // Index runs hold the key codes in row order; unrolling them is cheaper
+  // than a second round of dictionary lookups.
+  for (const Run& run : runs) {
+    const std::size_t end = run.first_row + run.row_count;
+    for (std::size_t i = run.first_row; i < end; ++i) {
+      const Sample& s = samples[i];
+      arch_col.put(i, run.arch);
+      app_col.put(i, run.app);
+      input_col.put(i, run.input);
+      threads_col.put(i, s.threads);
+
+      blocktime_col.put(i, s.config.blocktime_ms);
+      num_threads_col.put(i, s.config.num_threads);
+      chunk_col.put(i, s.config.chunk);
+      align_col.put(i, s.config.align_alloc);
+      attempts_col.put(i, s.attempts);
+      runtime_count_col.put(i, static_cast<std::uint16_t>(s.runtimes.size()));
+      suite_col.put(i, suite_code[i]);
+      kind_col.put(i, kind_code[i]);
+      places_col.put(i, static_cast<std::uint8_t>(s.config.places));
+      bind_col.put(i, static_cast<std::uint8_t>(s.config.bind));
+      schedule_col.put(i, static_cast<std::uint8_t>(s.config.schedule));
+      library_col.put(i, static_cast<std::uint8_t>(s.config.library));
+      reduction_col.put(i, static_cast<std::uint8_t>(s.config.reduction));
+      status_col.put(i, static_cast<std::uint8_t>(s.status));
+      is_default_col.put(i, s.is_default ? 1 : 0);
+
+      mean_col.put(i, finite_or_throw(s.mean_runtime, "mean_runtime", i));
+      default_col.put(i, finite_or_throw(s.default_runtime, "default_runtime", i));
+      speedup_col.put(i, finite_or_throw(s.speedup, "speedup", i));
+
+      for (std::size_t r = 0; r < s.runtimes.size(); ++r) {
+        runtime_col.put(i * reps + r, finite_or_throw(s.runtimes[r], "runtime", i));
+      }
+      error_col.put(i, error_code[i]);
+    }
   }
 
-  const std::uint64_t header_checksum = checksum_bytes(out.data(), out.size());
-  std::memcpy(out.data() + checksum_at, &header_checksum, sizeof(header_checksum));
+  // ---- header + section table, written last: they carry the checksums ----
+  std::string header;
+  header.append(kMagic, sizeof(kMagic));
+  append_scalar<std::uint32_t>(header, kVersion);
+  append_scalar<std::uint32_t>(header, static_cast<std::uint32_t>(header_bytes));
+  append_scalar<std::uint64_t>(header, file_bytes);
+  append_scalar<std::uint64_t>(header, n);
+  append_scalar<std::uint32_t>(header, static_cast<std::uint32_t>(reps));
+  append_scalar<std::uint32_t>(header, kSectionCount);
+  const std::size_t checksum_at = header.size();
+  append_scalar<std::uint64_t>(header, 0);  // header checksum, patched below
 
-  for (const std::string* s : sections) out.append(*s);
+  for (std::size_t i = 0; i < kSectionCount; ++i) {
+    append_scalar<std::uint32_t>(header, static_cast<std::uint32_t>(kinds[i]));
+    append_scalar<std::uint32_t>(header, 0);
+    append_scalar<std::uint64_t>(header, offsets[i]);
+    append_scalar<std::uint64_t>(header, sizes[i]);
+    append_scalar<std::uint64_t>(header,
+                                 checksum_bytes(out.data() + offsets[i], sizes[i]));
+  }
+  if (header.size() != header_bytes) {
+    throw std::logic_error("write_store: header layout drifted from format.hpp");
+  }
+
+  const std::uint64_t header_checksum = checksum_bytes(header.data(), header.size());
+  std::memcpy(header.data() + checksum_at, &header_checksum, sizeof(header_checksum));
+  std::memcpy(out.data(), header.data(), header.size());
   return out;
 }
 

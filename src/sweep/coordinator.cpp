@@ -81,14 +81,6 @@ std::string hex16(std::uint64_t value) {
   return std::string(buf);
 }
 
-std::size_t plan_sample_count(const StudyPlan& plan) {
-  std::size_t total = 0;
-  for (const ArchPlan& arch_plan : plan.arch_plans) {
-    total += arch_plan.total_samples();
-  }
-  return total;
-}
-
 std::string shard_key_name(std::size_t shard) {
   return "shard-" + std::to_string(shard);
 }
@@ -160,7 +152,7 @@ void agent_collect_shard(const AgentConfig& config, const StudyPlan& plan,
         config.chaos.seed, util::stable_hash("trigger/" + shard_key_name(shard)));
     h = util::hash_combine(h, static_cast<std::uint64_t>(attempt) + 1);
     const std::uint64_t span =
-        std::max<std::uint64_t>(plan_sample_count(slice), 1);
+        std::max<std::uint64_t>(slice.total_samples(), 1);
     trigger = 1 + util::SplitMix64(h).next() % span;
   }
 
@@ -336,7 +328,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
   // the plan fingerprint guarding --resume against a mismatched plan.
   std::vector<std::size_t> expected(shard_count, 0);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    expected[i] = plan_sample_count(shard_plan(plan, i, shard_count));
+    expected[i] = shard_plan(plan, i, shard_count).total_samples();
   }
   std::uint64_t plan_hash = 0x0c00d1a7e5eedULL;
   for (const SettingTask& task : tasks) {

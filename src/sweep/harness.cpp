@@ -125,6 +125,12 @@ std::size_t ArchPlan::total_samples() const {
   return total;
 }
 
+std::size_t StudyPlan::total_samples() const {
+  std::size_t total = 0;
+  for (const ArchPlan& arch_plan : arch_plans) total += arch_plan.total_samples();
+  return total;
+}
+
 StudyPlan StudyPlan::paper_plan() {
   StudyPlan plan;
   plan.arch_plans.push_back(arch_plan(arch::ArchId::A64FX, kA64fxSamples));
@@ -175,7 +181,6 @@ Dataset SweepHarness::run_setting(const arch::CpuArch& cpu,
   const std::vector<rt::RtConfig> configs =
       space.sample(setting.num_threads, config_count, batch_seed);
 
-  Dataset dataset;
   // The paper's batching: all configurations of a setting are explored
   // iteratively within the batch, repetition by repetition, preserving
   // relative performance under slow cluster drift.
@@ -190,6 +195,7 @@ Dataset SweepHarness::run_setting(const arch::CpuArch& cpu,
     s.config = configs[i];
     s.threads = configs[i].effective_num_threads(cpu);
     s.is_default = (i == 0);  // ConfigSpace::sample pins the default first
+    s.runtimes.reserve(static_cast<std::size_t>(repetitions_));
   }
   for (int rep = 0; rep < repetitions_; ++rep) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -254,9 +260,8 @@ Dataset SweepHarness::run_setting(const arch::CpuArch& cpu,
   for (Sample& s : samples) {
     s.default_runtime = default_mean;
     s.speedup = s.is_quarantined() ? 0.0 : default_mean / s.mean_runtime;
-    dataset.add(std::move(s));
   }
-  return dataset;
+  return Dataset(std::move(samples));
 }
 
 Dataset SweepHarness::run_study(
@@ -280,6 +285,7 @@ Dataset SweepHarness::run_study(const StudyPlan& plan,
   }
 
   Dataset dataset;
+  dataset.reserve(plan.total_samples());
   for (const ArchPlan& arch_plan : plan.arch_plans) {
     const arch::CpuArch& cpu = arch::architecture(arch_plan.arch);
     for (std::size_t i = 0; i < arch_plan.settings.size(); ++i) {

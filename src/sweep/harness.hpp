@@ -81,6 +81,9 @@ struct ArchPlan {
 struct StudyPlan {
   std::vector<ArchPlan> arch_plans;
 
+  /// Samples the plan collects, over every architecture.
+  std::size_t total_samples() const;
+
   /// The paper's plan (Table II totals).
   static StudyPlan paper_plan();
 

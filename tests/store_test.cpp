@@ -11,6 +11,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -32,6 +33,7 @@
 #include "util/fs.hpp"
 #include "util/process.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace omptune {
 namespace {
@@ -104,6 +106,15 @@ TEST(Store, RoundTripIsBitFaithful) {
     expect_samples_equal(loaded.samples()[i], original.samples()[i]);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(Store, EncodedBytesArePinned) {
+  // Golden digest of the .omps encoding of the test dataset (mini_plan plus
+  // the quarantined, retried and ragged edge rows). A writer change that
+  // moves a single byte fails here; if the format changes on purpose,
+  // update the digest and say why in CHANGES.md.
+  const std::string bytes = store::serialize_store(sample_dataset());
+  EXPECT_EQ(util::stable_hash(bytes), 0x8e2fd535e5451c59ULL);
 }
 
 TEST(Store, CsvStoreCsvProducesIdenticalText) {
@@ -300,6 +311,168 @@ TEST(Store, KnowledgeBaseFromStoreMatchesInMemoryAnswers) {
 }
 
 // ---- dedupe semantics -------------------------------------------------------
+
+/// The sample dataset plus a single-class pair: a copy of the first
+/// architecture's first pair under a new app name with every speedup at
+/// 1.0, so no row is labelled optimal and its priority must come from the
+/// architecture rung.
+sweep::Dataset dataset_with_flat_pair(const std::string& flat_app) {
+  sweep::Dataset dataset = sample_dataset();
+  const sweep::Sample& first = dataset.samples().front();
+  const sweep::Dataset flat = dataset.filter([&](const sweep::Sample& s) {
+    return s.arch == first.arch && s.app == first.app && s.input == first.input;
+  });
+  for (sweep::Sample s : flat.samples()) {
+    s.app = flat_app;
+    s.speedup = 1.0;
+    dataset.add(std::move(s));
+  }
+  return dataset;
+}
+
+/// What the knowledge base answered before it became pair-scoped: every
+/// pair and the architecture fitted in bulk over the architecture's slice,
+/// read through the shared ladder, and the best sample of the pair found
+/// by scanning the slice.
+struct ArchSliceReference {
+  ArchSliceReference(const sweep::Dataset& dataset, const std::string& arch)
+      : slice(dataset.filter(
+            [&](const sweep::Sample& s) { return s.arch == arch; })),
+        pairs(analysis::influence_map(
+            slice, analysis::Grouping::PerArchApplication)),
+        archs(analysis::influence_map(slice,
+                                      analysis::Grouping::PerArchitecture)) {}
+
+  std::vector<std::string> priority(const std::string& app,
+                                    const std::string& arch) const {
+    return core::priority_ladder(
+        app, arch, [&]() -> const analysis::InfluenceMap& { return pairs; },
+        [&]() -> const analysis::InfluenceMap& { return archs; });
+  }
+
+  /// Best sample of the pair, or nullptr when the slice has none.
+  const sweep::Sample* best(const std::string& app) const {
+    const sweep::Sample* out = nullptr;
+    for (const sweep::Sample& s : slice.samples()) {
+      if (s.app == app && (out == nullptr || s.speedup > out->speedup)) out = &s;
+    }
+    return out;
+  }
+
+  bool has_pair_row(const std::string& app, const std::string& arch) const {
+    return std::any_of(pairs.rows.begin(), pairs.rows.end(),
+                       [&](const analysis::InfluenceRow& row) {
+                         return row.group == arch + "/" + app;
+                       });
+  }
+
+  sweep::Dataset slice;
+  analysis::InfluenceMap pairs, archs;
+};
+
+void expect_kb_matches(const core::KnowledgeBase& kb,
+                       const ArchSliceReference& reference,
+                       const std::string& app, const std::string& arch) {
+  SCOPED_TRACE(app + " on " + arch);
+  EXPECT_EQ(kb.variable_priority(app, arch), reference.priority(app, arch));
+  const sweep::Sample* best = reference.best(app);
+  if (best == nullptr) {
+    EXPECT_THROW(kb.best_known_config(app, arch), std::invalid_argument);
+    EXPECT_THROW(kb.best_known_speedup(app, arch), std::invalid_argument);
+    return;
+  }
+  EXPECT_EQ(kb.best_known_config(app, arch), best->config);
+  EXPECT_EQ(kb.best_known_speedup(app, arch), best->speedup);
+}
+
+TEST(Store, PairScopedKnowledgeBaseMatchesArchSliceFits) {
+  const std::string flat_app = "synthetic-flat";
+  const sweep::Dataset dataset = dataset_with_flat_pair(flat_app);
+  const std::string dir = temp_dir("kb_pairs");
+  const std::string path = util::path_join(dir, "d.omps");
+  dataset.save_store(path);
+  const store::StoreReader reader(path);
+  const core::KnowledgeBase from_dataset(dataset);
+
+  std::size_t pair_rungs = 0;
+  for (const std::string& arch : reader.archs()) {
+    const ArchSliceReference reference(dataset, arch);
+    const core::KnowledgeBase from_store(reader, arch);
+    std::vector<std::string> apps =
+        reference.slice.distinct([](const sweep::Sample& s) { return s.app; });
+    apps.push_back("no-such-app");  // a pair the study never covered
+    for (const std::string& app : apps) {
+      if (reference.has_pair_row(app, arch)) ++pair_rungs;
+      expect_kb_matches(from_store, reference, app, arch);
+      expect_kb_matches(from_dataset, reference, app, arch);
+    }
+  }
+  EXPECT_GT(pair_rungs, 0u);
+
+  // The single-class pair has samples but no pair row: it must take the
+  // architecture rung, not the Fig 3 one.
+  const std::string flat_arch = dataset.samples().front().arch;
+  const ArchSliceReference flat_reference(dataset, flat_arch);
+  ASSERT_FALSE(flat_reference.has_pair_row(flat_app, flat_arch));
+  ASSERT_NE(flat_reference.best(flat_app), nullptr);
+  ASSERT_TRUE(std::any_of(
+      flat_reference.archs.rows.begin(), flat_reference.archs.rows.end(),
+      [&](const analysis::InfluenceRow& row) { return row.group == flat_arch; }));
+  EXPECT_EQ(core::KnowledgeBase(reader, flat_arch)
+                .variable_priority(flat_app, flat_arch),
+            flat_reference.priority("no-such-app", flat_arch));
+
+  // An unknown architecture reads as unstudied: Fig 3 ordering, no best.
+  const ArchSliceReference unknown(dataset, "no-such-arch");
+  expect_kb_matches(core::KnowledgeBase(reader, "no-such-arch"), unknown,
+                    flat_app, "no-such-arch");
+  expect_kb_matches(from_dataset, unknown, flat_app, "no-such-arch");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Store, PairScopedKnowledgeBaseAnswersConcurrently) {
+  // One reader-backed knowledge base shared by pool lanes, each lane asking
+  // for a different pair at once; every answer must equal the serial one.
+  const sweep::Dataset dataset = sample_dataset();
+  const std::string dir = temp_dir("kb_concurrent");
+  const std::string path = util::path_join(dir, "d.omps");
+  dataset.save_store(path);
+  const store::StoreReader reader(path);
+  const std::string arch = reader.archs().front();
+  const util::ThreadPool pool(4);
+  const core::KnowledgeBase kb(reader, arch, 1.01, &pool);
+
+  std::vector<std::string> apps = reader.apps();
+  apps.push_back("no-such-app");
+  struct Answer {
+    std::vector<std::string> priority;
+    double speedup = 0.0;
+  };
+  const auto answer = [&](const std::string& app) {
+    Answer a;
+    a.priority = kb.variable_priority(app, arch);
+    try {
+      a.speedup = kb.best_known_speedup(app, arch);
+    } catch (const std::invalid_argument&) {
+      a.speedup = -1.0;
+    }
+    return a;
+  };
+  std::vector<Answer> serial;
+  for (const std::string& app : apps) serial.push_back(answer(app));
+
+  constexpr std::size_t kRounds = 4;
+  std::vector<Answer> concurrent(apps.size() * kRounds);
+  pool.parallel_for(concurrent.size(), 1,
+                    [&](std::size_t begin, std::size_t, std::size_t) {
+                      concurrent[begin] = answer(apps[begin % apps.size()]);
+                    });
+  for (std::size_t i = 0; i < concurrent.size(); ++i) {
+    EXPECT_EQ(concurrent[i].priority, serial[i % apps.size()].priority);
+    EXPECT_EQ(concurrent[i].speedup, serial[i % apps.size()].speedup);
+  }
+  std::filesystem::remove_all(dir);
+}
 
 TEST(Dedupe, BestStatusWinsRegardlessOfOrder) {
   sim::ModelRunner runner;

@@ -893,8 +893,9 @@ int cmd_recommend(int argc, char** argv) {
 
   const util::ThreadPool pool = make_analysis_pool();
   if (!store_path.empty()) {
-    // Store-backed path: the index materializes only this architecture's
-    // slice and this application's rows — no study re-run, no CSV parsing.
+    // Store-backed path: the index materializes only this pair's rows (and
+    // the architecture's, if the priority falls back) — no study re-run,
+    // no CSV parsing.
     if (!input_found("recommend", store_path)) return kExitNoInput;
     const store::StoreReader reader(store_path);
     const core::KnowledgeBase kb(reader, arch, 1.01, &pool);
@@ -927,7 +928,8 @@ int cmd_tune(int argc, char** argv) {
 
   core::Tuner::SearchResult result;
   if (strategy == "hill") {
-    const core::KnowledgeBase kb(quick_study(150));
+    const sweep::Dataset knowledge = quick_study(150);
+    const core::KnowledgeBase kb(knowledge);
     result = tuner.hill_climb(space, cpu.cores,
                               kb.variable_priority(app_name, arch_name));
   } else if (strategy == "random") {
