@@ -77,16 +77,21 @@ KnowledgeBase::KnowledgeBase(const store::StoreReader& reader,
 
 sweep::Dataset KnowledgeBase::rows(const std::string& arch,
                                    const std::string* app) const {
+  // Quarantined placeholders are not measurements; every answer, like
+  // Study::analyze, sees only the ok rows.
   if (dataset_ != nullptr) {
     return dataset_->filter([&](const sweep::Sample& s) {
-      return s.arch == arch && (app == nullptr || s.app == *app);
+      return s.arch == arch && (app == nullptr || s.app == *app) &&
+             !s.is_quarantined();
     });
   }
   if (arch != reader_arch_) return sweep::Dataset();
   store::StoreQuery query;
   query.arch = arch;
   if (app != nullptr) query.app = *app;
-  return reader_->query(query);
+  sweep::Dataset slice = reader_->query(query);
+  if (slice.quarantined_count() > 0) slice = slice.ok_samples();
+  return slice;
 }
 
 sweep::Dataset KnowledgeBase::pair_rows(const std::string& app,

@@ -67,7 +67,7 @@ class KnowledgeBase {
                                              const std::string& arch) const;
 
   /// Best known configuration for (app, arch) across the studied settings;
-  /// throws std::invalid_argument if the pair has no samples.
+  /// throws std::invalid_argument if the pair has no non-quarantined samples.
   rt::RtConfig best_known_config(const std::string& app,
                                  const std::string& arch) const;
 
@@ -75,7 +75,8 @@ class KnowledgeBase {
   double best_known_speedup(const std::string& app, const std::string& arch) const;
 
  private:
-  /// The source's rows of `arch`, in source order; only `app`'s when set.
+  /// The source's non-quarantined rows of `arch`, in source order; only
+  /// `app`'s when set.
   sweep::Dataset rows(const std::string& arch,
                       const std::string* app = nullptr) const;
   /// The pair's rows, or std::invalid_argument when it has none.

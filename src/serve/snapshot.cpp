@@ -111,6 +111,7 @@ std::shared_ptr<const Snapshot> Snapshot::load(
       store::StoreQuery query;
       query.arch = arch;
       slice = snapshot->readers_.front()->query(query);
+      if (slice.quarantined_count() > 0) slice = slice.ok_samples();
     } else {
       slice = merged.filter(
           [&arch](const sweep::Sample& s) { return s.arch == arch; });

@@ -1,16 +1,11 @@
 #include "sweep/coordinator.hpp"
 
-#include <dirent.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -18,6 +13,7 @@
 #include "arch/cpu_arch.hpp"
 #include "store/compact.hpp"
 #include "sweep/journal.hpp"
+#include "sweep/lease_pool.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
 #include "util/process.hpp"
@@ -26,53 +22,6 @@
 namespace omptune::sweep {
 
 namespace {
-
-constexpr int kPollIntervalMs = 25;
-/// Agents dying repeatedly before their `ready` handshake indicate a broken
-/// environment, not a poisonous shard.
-constexpr int kMaxSpawnFailures = 5;
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-std::string make_private_temp_dir() {
-  const char* base = std::getenv("TMPDIR");
-  std::string tmpl = std::string(base != nullptr && *base != '\0' ? base : "/tmp");
-  tmpl += "/omptune-coordinator-XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  if (::mkdtemp(buf.data()) == nullptr) {
-    throw_errno("Coordinator: mkdtemp(" + tmpl + ")");
-  }
-  return std::string(buf.data());
-}
-
-std::vector<std::string> list_subdirs(const std::string& dir) {
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
-    struct stat st{};
-    const std::string path = util::path_join(dir, name);
-    if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-      out.push_back(name);
-    }
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Remove a directory containing only regular files.
-void remove_flat_dir(const std::string& dir) {
-  for (const std::string& name : util::list_files(dir)) {
-    util::remove_file(util::path_join(dir, name));
-  }
-  ::rmdir(dir.c_str());
-}
 
 std::string hex16(std::uint64_t value) {
   char buf[17];
@@ -92,7 +41,6 @@ std::string shard_key_name(std::size_t shard) {
 struct AgentConfig {
   int command_fd = -1;
   int result_fd = -1;
-  int slot = 0;
   std::size_t shard_count = 0;
   std::string shardwork_root;  ///< per-shard journals live under here
   std::string shards_dir;      ///< per-shard .omps stores land here
@@ -117,11 +65,12 @@ void truncate_store_tail(const std::string& path) {
 /// study for the shard's slice of the plan (resuming whatever a previous
 /// holder journaled), compacts the journal into the shard's .omps store
 /// (atomic replace), and applies the shard-level chaos fault drawn for this
-/// (shard, attempt).
-void agent_collect_shard(const AgentConfig& config, const StudyPlan& plan,
-                         const RunnerFactory& make_runner, std::size_t shard,
-                         int attempt, std::uint64_t& total_samples,
-                         std::int64_t& last_heartbeat) {
+/// (shard, attempt). Returns the shard's sample count for `done`.
+std::uint64_t agent_collect_shard(const AgentConfig& config,
+                                  const StudyPlan& plan,
+                                  const RunnerFactory& make_runner,
+                                  LeaseChild& child, std::size_t shard,
+                                  int attempt) {
   const StudyPlan slice = shard_plan(plan, shard, config.shard_count);
   const sim::ChaosMonkey monkey(config.chaos);
 
@@ -161,21 +110,13 @@ void agent_collect_shard(const AgentConfig& config, const StudyPlan& plan,
   std::uint64_t samples_in_shard = 0;
   harness.set_sample_observer([&] {
     ++samples_in_shard;
-    ++total_samples;
     if (trigger != 0 && samples_in_shard == trigger) {
       if (fault == sim::ShardFault::KillHolder) ::raise(SIGKILL);
       // StallHeartbeat: stay alive, stop all progress — only the
       // coordinator's liveness checks can reclaim the lease.
       for (;;) ::pause();
     }
-    const std::int64_t now = util::monotonic_ms();
-    if (now - last_heartbeat >= config.heartbeat_interval_ms) {
-      last_heartbeat = now;
-      if (!util::write_all(config.result_fd,
-                           protocol::format_heartbeat(total_samples))) {
-        ::_exit(0);  // coordinator gone; nothing left to report to
-      }
-    }
+    child.sample_done();
   });
 
   StudyRunOptions run_options;
@@ -195,79 +136,27 @@ void agent_collect_shard(const AgentConfig& config, const StudyPlan& plan,
     truncate_store_tail(store_path);
   }
 
-  if (!util::write_all(config.result_fd,
-                       protocol::format_done(shard, batch.size()))) {
-    ::_exit(0);
-  }
   if (fault == sim::ShardFault::DuplicateDelivery) {
-    util::write_all(config.result_fd,
+    // Report the shard done twice: this line, then the command loop's own.
+    util::write_all(child.result_fd(),
                     protocol::format_done(shard, batch.size()));
   }
+  return batch.size();
 }
 
-/// Host agent entry point; never returns. Speaks the worker protocol with
+/// Host agent entry point; never returns. Serves the worker protocol with
 /// task_index = shard index: the agent is to a shard what a supervisor
 /// worker is to a setting.
 [[noreturn]] void agent_main(const AgentConfig& config, const StudyPlan& plan,
                              const RunnerFactory& make_runner) {
-  util::die_with_parent();
-  ::signal(SIGINT, SIG_IGN);
-  ::signal(SIGTERM, SIG_IGN);
-  ::signal(SIGPIPE, SIG_IGN);
-
-  try {
-    util::BlockingLineReader commands(config.command_fd);
-    std::uint64_t total_samples = 0;
-    std::int64_t last_heartbeat = util::monotonic_ms();
-
-    if (!util::write_all(config.result_fd, protocol::format_ready())) {
-      ::_exit(0);
-    }
-    for (;;) {
-      const std::optional<std::string> line = commands.next();
-      if (!line) ::_exit(0);  // command pipe EOF: coordinator is gone
-      const std::optional<protocol::Command> command =
-          protocol::parse_command(*line, config.shard_count);
-      if (!command) ::_exit(12);  // a garbled coordinator is unrecoverable
-      if (command->kind == protocol::Command::Kind::Exit) {
-        util::write_all(config.result_fd, protocol::format_bye());
-        ::_exit(0);
-      }
-      for (const protocol::LeaseItem& item : command->items) {
-        if (!util::write_all(config.result_fd,
-                             protocol::format_start(item.task_index))) {
-          ::_exit(0);
-        }
-        agent_collect_shard(config, plan, make_runner, item.task_index,
-                            item.attempt, total_samples, last_heartbeat);
-      }
-    }
-  } catch (const std::exception&) {
-    // Anything escaping the collection stack is a host casualty: die with a
-    // distinct code; the coordinator strikes the leased shard.
-    ::_exit(11);
-  }
-  ::_exit(0);
+  LeaseChild child(config.command_fd, config.result_fd,
+                   config.heartbeat_interval_ms);
+  child.serve(config.shard_count, {},
+              [&](const protocol::LeaseItem& item) {
+                return agent_collect_shard(config, plan, make_runner, child,
+                                           item.task_index, item.attempt);
+              });
 }
-
-// ---- coordinator (parent) side ----------------------------------------------
-
-/// Parent-side handle on one forked host agent.
-struct AgentProc {
-  pid_t pid = -1;
-  int slot = 0;
-  util::Pipe cmd;  ///< parent keeps write_fd
-  util::Pipe res;  ///< parent keeps read_fd
-  util::LineReader reader{-1};
-  bool ready = false;
-  bool exit_sent = false;
-  bool saw_bye = false;
-  std::optional<std::size_t> shard;  ///< leased shard, `done` not yet seen
-  std::int64_t last_signal = 0;
-  std::string kill_reason;
-
-  bool alive() const { return pid >= 0; }
-};
 
 }  // namespace
 
@@ -309,7 +198,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
 
   std::string work_dir = options_.work_dir;
   const bool private_dir = work_dir.empty();
-  if (private_dir) work_dir = make_private_temp_dir();
+  if (private_dir) work_dir = util::create_temp_directory("coordinator");
   report_.work_dir = work_dir;
   const std::string state_path = util::path_join(work_dir, "coordinator.state");
   const std::string shards_dir = util::path_join(work_dir, "shards");
@@ -322,6 +211,9 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
   };
   const auto shard_store_path = [&](std::size_t shard) {
     return util::path_join(shards_dir, shard_key_name(shard) + ".omps");
+  };
+  const auto shardwork_dir = [&](std::size_t shard) {
+    return util::path_join(shardwork_root, "s" + std::to_string(shard));
   };
 
   // Per-shard expected sample counts (validation of delivered stores) and
@@ -408,11 +300,9 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
   // -- startup: fresh wipe or resume reconciliation ---------------------------
   if (!options_.resume) {
     util::remove_file(state_path);
-    for (const std::string& name : util::list_files(shards_dir)) {
-      util::remove_file(util::path_join(shards_dir, name));
-    }
-    for (const std::string& sub : list_subdirs(shardwork_root)) {
-      remove_flat_dir(util::path_join(shardwork_root, sub));
+    for (const std::string& dir : {shards_dir, shardwork_root}) {
+      util::remove_tree(dir);
+      util::create_directories(dir);
     }
   } else if (const std::optional<std::string> text = util::read_file(state_path)) {
     // A kill mid-atomic-write leaves "<target>.tmp.<pid>" orphans behind;
@@ -466,7 +356,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
     for (std::size_t i = 0; i < shard_count; ++i) {
       const ShardState state = table.at(i).state;
       if (state == ShardState::Completed || state == ShardState::Quarantined) {
-        remove_flat_dir(util::path_join(shardwork_root, "s" + std::to_string(i)));
+        util::remove_tree(shardwork_dir(i));
       }
     }
   }
@@ -479,63 +369,22 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
   };
 
   if (!table.all_settled()) {
-    util::ShutdownSignalGuard guard;
-    std::vector<AgentProc> pool;
-    int spawn_failures = 0;
-
-    const auto spawn = [&](int slot) -> AgentProc {
-      AgentProc a;
-      a.slot = slot;
-
-      AgentConfig config;
-      config.command_fd = a.cmd.read_fd;
-      config.result_fd = a.res.write_fd;
-      config.slot = slot;
-      config.shard_count = shard_count;
-      config.shardwork_root = shardwork_root;
-      config.shards_dir = shards_dir;
-      config.repetitions = options_.repetitions;
-      config.seed = options_.seed;
-      config.resilient = options_.resilient;
-      config.resilience = options_.resilience;
-      config.chaos = options_.chaos;
-      config.heartbeat_interval_ms = options_.heartbeat_interval_ms;
-
-      const pid_t pid = ::fork();
-      if (pid < 0) throw_errno("Coordinator: fork()");
-      if (pid == 0) {
-        for (AgentProc& other : pool) {
-          other.cmd.close_read();
-          other.cmd.close_write();
-          other.res.close_read();
-          other.res.close_write();
-        }
-        a.cmd.close_write();
-        a.res.close_read();
-        agent_main(config, plan, make_runner_);  // [[noreturn]]
-      }
-      a.pid = pid;
-      a.cmd.close_read();
-      a.res.close_write();
-      util::set_nonblocking(a.res.read_fd);
-      a.reader = util::LineReader(a.res.read_fd);
-      a.last_signal = util::monotonic_ms();
-      return a;
-    };
-
-    const auto kill_agent = [&](AgentProc& a, const std::string& reason) {
-      if (!a.alive()) return;
-      if (a.kill_reason.empty()) a.kill_reason = reason;
-      ::kill(a.pid, SIGKILL);
-    };
+    LeasePoolOptions pool_options;
+    pool_options.owner = "Coordinator";
+    pool_options.children = "agents";
+    pool_options.size = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(options_.hosts), shard_count - settled()));
+    pool_options.item_count = shard_count;
+    pool_options.heartbeat_timeout_ms = options_.heartbeat_timeout_ms;
+    pool_options.lease_ms = options_.lease_ttl_ms;
+    LeasePool pool(pool_options);
 
     const auto complete_shard = [&](std::size_t i, const std::string& how) {
       ShardLease& lease = table.at(i);
       lease.state = ShardState::Completed;
       lease.holder = -1;
-      lease.lease_deadline_ms = 0;
       save_state();
-      remove_flat_dir(util::path_join(shardwork_root, "s" + std::to_string(i)));
+      util::remove_tree(shardwork_dir(i));
       say(shard_key_name(i) + " completed (" + how + ", " +
           std::to_string(expected[i]) + " samples)");
     };
@@ -544,7 +393,6 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
       ShardLease& lease = table.at(i);
       lease.state = ShardState::Pending;
       lease.holder = -1;
-      lease.lease_deadline_ms = 0;
       ++lease.attempts;
       lease.evidence = evidence;
       if (lease.attempts >= options_.max_shard_attempts) {
@@ -553,8 +401,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
         lease.state = ShardState::Quarantined;
         save_state();
         write_quarantine_store(i);
-        remove_flat_dir(
-            util::path_join(shardwork_root, "s" + std::to_string(i)));
+        util::remove_tree(shardwork_dir(i));
         say(shard_key_name(i) + " quarantined after " +
             std::to_string(lease.attempts) + " attempts: " + evidence);
       } else {
@@ -571,9 +418,39 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
       }
     };
 
-    const auto handle_done = [&](AgentProc& a, std::size_t i) {
-      if (a.shard == i) a.shard.reset();
-      ShardLease& lease = table.at(i);
+    LeasePoolHooks hooks;
+    hooks.child_main = [&](int, int command_fd, int result_fd) {
+      AgentConfig config;
+      config.command_fd = command_fd;
+      config.result_fd = result_fd;
+      config.shard_count = shard_count;
+      config.shardwork_root = shardwork_root;
+      config.shards_dir = shards_dir;
+      config.repetitions = options_.repetitions;
+      config.seed = options_.seed;
+      config.resilient = options_.resilient;
+      config.resilience = options_.resilience;
+      config.chaos = options_.chaos;
+      config.heartbeat_interval_ms = options_.heartbeat_interval_ms;
+      agent_main(config, plan, make_runner_);  // [[noreturn]]
+    };
+
+    hooks.grant = [&](const LeaseSlot& a) {
+      const std::optional<std::size_t> next =
+          table.next_leasable(util::monotonic_ms());
+      if (!next) return;
+      ShardLease& lease = table.at(*next);
+      if (!pool.lease(a.slot, {protocol::LeaseItem{*next, lease.attempts}})) {
+        return;  // agent died under us; the reaper sorts out the corpse
+      }
+      lease.state = ShardState::Leased;
+      lease.holder = a.slot;
+      say(shard_key_name(*next) + " leased to h" + std::to_string(a.slot) +
+          " (attempt " + std::to_string(lease.attempts) + ")");
+    };
+
+    hooks.on_done = [&](const LeaseSlot& a, std::size_t i, std::uint64_t) {
+      const ShardLease& lease = table.at(i);
       if (lease.state == ShardState::Completed ||
           lease.state == ShardState::Quarantined) {
         ++report_.duplicate_deliveries;
@@ -589,209 +466,40 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
       complete_shard(i, "delivered by h" + std::to_string(a.slot));
     };
 
-    const auto grant_leases = [&] {
-      const std::int64_t now = util::monotonic_ms();
-      for (AgentProc& a : pool) {
-        if (!a.alive() || !a.ready || a.exit_sent || a.shard) continue;
-        const std::optional<std::size_t> next = table.next_leasable(now);
-        if (!next) break;
-        ShardLease& lease = table.at(*next);
-        const std::vector<protocol::LeaseItem> items = {
-            protocol::LeaseItem{*next, lease.attempts}};
-        if (!util::write_all(a.cmd.write_fd, protocol::format_lease(items))) {
-          continue;  // agent died under us; the reaper sorts out the corpse
-        }
-        lease.state = ShardState::Leased;
-        lease.holder = a.slot;
-        lease.lease_deadline_ms =
-            options_.lease_ttl_ms > 0 ? now + options_.lease_ttl_ms : 0;
-        a.shard = *next;
-        a.last_signal = now;
-        say(shard_key_name(*next) + " leased to h" + std::to_string(a.slot) +
-            " (attempt " + std::to_string(lease.attempts) + ")");
+    hooks.on_exit = [&](const LeaseSlot& a, const ChildExit& exit) {
+      // The shard store may be fully published even though the `done`
+      // never made it out.
+      if (a.leased.empty()) return;
+      const std::size_t i = a.leased.front();
+      if (table.at(i).state != ShardState::Leased) return;
+      if (!validate_shard(i)) {
+        // Killed between store publish and `done`: the work is on disk and
+        // valid — adopt it, exactly like the supervisor salvaging a dead
+        // worker's journal.
+        complete_shard(i, "salvaged from dead h" + std::to_string(a.slot));
+      } else {
+        strike_shard(i, exit.evidence);
       }
     };
 
-    /// Drain and apply every pending message; false on a protocol violation.
-    const auto process_lines = [&](AgentProc& a) -> bool {
-      for (const std::string& line : a.reader.drain()) {
-        const std::optional<protocol::WorkerMessage> msg =
-            protocol::parse_worker_message(line, shard_count);
-        if (!msg) return false;
-        a.last_signal = util::monotonic_ms();
-        switch (msg->kind) {
-          case protocol::WorkerMessage::Kind::Ready:
-            a.ready = true;
-            spawn_failures = 0;
-            break;
-          case protocol::WorkerMessage::Kind::Heartbeat:
-            break;  // liveness is the timestamp update above
-          case protocol::WorkerMessage::Kind::Start:
-            break;  // the lease already tracks the shard
-          case protocol::WorkerMessage::Kind::Done:
-            handle_done(a, msg->task_index);
-            break;
-          case protocol::WorkerMessage::Kind::Bye:
-            a.saw_bye = true;
-            break;
-        }
-      }
-      return !a.reader.garbled();
+    // Agent respawn is immediate — re-lease pacing lives on the SHARD
+    // backoff gates, and an environment where agents die before `ready`
+    // hits the spawn-failure cap instead.
+    hooks.finished = [&] { return table.all_settled(); };
+    hooks.has_work = [&] { return !table.all_settled(); };
+    hooks.on_interrupt = [&] {
+      say("coordinator interrupted: draining agents (settled " +
+          std::to_string(settled()) + "/" + std::to_string(shard_count) +
+          " shards)");
     };
 
-    const auto handle_death = [&](AgentProc& a,
-                                  const util::ExitStatus& status) {
-      // Salvage first: the pipe may still hold a `done` written before
-      // death, and the shard store may be fully published even though the
-      // `done` never made it out.
-      process_lines(a);
-      const bool clean =
-          a.saw_bye || (a.exit_sent && status.exited && status.exit_code == 0);
-      const std::string evidence =
-          !a.kill_reason.empty() ? a.kill_reason : status.describe();
-      if (!clean && a.kill_reason.empty()) ++report_.host_crashes;
-      if (!clean && !a.ready && ++spawn_failures > kMaxSpawnFailures) {
-        throw std::runtime_error(
-            "Coordinator: " + std::to_string(spawn_failures) +
-            " consecutive agents died before becoming ready (last: " +
-            evidence + ")");
-      }
-      if (a.shard) {
-        const std::size_t i = *a.shard;
-        a.shard.reset();
-        if (table.at(i).state == ShardState::Leased) {
-          if (!validate_shard(i)) {
-            // Killed between store publish and `done`: the work is on disk
-            // and valid — adopt it, exactly like the supervisor salvaging a
-            // dead worker's journal.
-            complete_shard(i, "salvaged from dead h" + std::to_string(a.slot));
-          } else {
-            strike_shard(i, evidence);
-          }
-        }
-      }
-      a.pid = -1;
-    };
-
-    const auto kill_everything = [&] {
-      for (AgentProc& a : pool) {
-        if (!a.alive()) continue;
-        ::kill(a.pid, SIGKILL);
-        util::wait_for(a.pid);
-        a.pid = -1;
-      }
-    };
-
-    try {
-      const std::size_t pool_size =
-          std::min<std::size_t>(static_cast<std::size_t>(options_.hosts),
-                                shard_count - settled());
-      pool.reserve(pool_size);
-      for (std::size_t slot = 0; slot < pool_size; ++slot) {
-        pool.push_back(spawn(static_cast<int>(slot)));
-      }
-
-      const std::int64_t grace_ms =
-          options_.heartbeat_timeout_ms > 0
-              ? std::max<std::int64_t>(options_.heartbeat_timeout_ms, 1000)
-              : 10000;
-      bool shutting_down = false;
-      std::int64_t drain_deadline = 0;
-
-      for (;;) {
-        const bool all_done = table.all_settled();
-        if (!shutting_down &&
-            (all_done || guard.triggered() || stop_requested_.load())) {
-          shutting_down = true;
-          report_.interrupted = !all_done;
-          for (AgentProc& a : pool) {
-            if (!a.alive()) continue;
-            a.exit_sent = true;
-            util::write_all(a.cmd.write_fd, protocol::format_exit());
-          }
-          drain_deadline = util::monotonic_ms() + grace_ms;
-          if (report_.interrupted) {
-            say("coordinator interrupted: draining agents (settled " +
-                std::to_string(settled()) + "/" + std::to_string(shard_count) +
-                " shards)");
-          }
-        }
-        if (shutting_down &&
-            std::none_of(pool.begin(), pool.end(),
-                         [](const AgentProc& a) { return a.alive(); })) {
-          break;
-        }
-
-        if (!shutting_down) grant_leases();
-
-        std::vector<struct pollfd> fds;
-        fds.push_back({guard.wake_fd(), POLLIN, 0});
-        for (const AgentProc& a : pool) {
-          if (a.alive() && !a.reader.eof()) {
-            fds.push_back({a.reader.fd(), POLLIN, 0});
-          }
-        }
-        ::poll(fds.data(), fds.size(), kPollIntervalMs);
-        char sink[64];
-        while (::read(guard.wake_fd(), sink, sizeof(sink)) > 0) {
-        }
-
-        for (AgentProc& a : pool) {
-          if (!a.alive()) continue;
-          if (!process_lines(a)) {
-            ++report_.protocol_errors;
-            kill_agent(a, "garbled result stream (protocol violation)");
-          }
-        }
-
-        for (AgentProc& a : pool) {
-          if (!a.alive()) continue;
-          if (const std::optional<util::ExitStatus> status =
-                  util::try_wait(a.pid)) {
-            const int slot = a.slot;
-            handle_death(a, *status);
-            if (!shutting_down && !table.all_settled()) {
-              // Agent respawn is immediate — re-lease pacing lives on the
-              // SHARD backoff gates, and an environment where agents die
-              // before `ready` hits the spawn-failure cap instead.
-              pool[static_cast<std::size_t>(slot)] = spawn(slot);
-              ++report_.respawns;
-            }
-          }
-        }
-
-        const std::int64_t now = util::monotonic_ms();
-        for (AgentProc& a : pool) {
-          if (!a.alive()) continue;
-          const bool owes_progress =
-              !a.ready || a.shard.has_value() || a.exit_sent;
-          if (options_.heartbeat_timeout_ms > 0 && owes_progress &&
-              now - a.last_signal > options_.heartbeat_timeout_ms &&
-              a.kill_reason.empty()) {
-            ++report_.hang_kills;
-            kill_agent(a, "no heartbeat for " +
-                              std::to_string(now - a.last_signal) +
-                              "ms (hung)");
-            continue;
-          }
-          if (a.shard && a.kill_reason.empty()) {
-            const ShardLease& lease = table.at(*a.shard);
-            if (lease.lease_deadline_ms > 0 && now > lease.lease_deadline_ms) {
-              ++report_.lease_expiries;
-              kill_agent(a, "lease expired after " +
-                                std::to_string(options_.lease_ttl_ms) + "ms");
-              continue;
-            }
-          }
-          if (shutting_down && now > drain_deadline && a.kill_reason.empty()) {
-            kill_agent(a, "shutdown grace period expired");
-          }
-        }
-      }
-    } catch (...) {
-      kill_everything();
-      throw;
-    }
+    const LeasePoolStats stats = pool.run(hooks, stop_requested_);
+    report_.host_crashes = stats.crashes;
+    report_.hang_kills = stats.hang_kills;
+    report_.lease_expiries = stats.lease_expiries;
+    report_.protocol_errors = stats.protocol_errors;
+    report_.respawns = stats.respawns;
+    report_.interrupted = stats.interrupted;
   }
 
   // -- report + assembly ------------------------------------------------------
@@ -874,13 +582,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
   report_.store_path = store_path;
 
   if (private_dir) {
-    util::remove_file(state_path);
-    remove_flat_dir(shards_dir);
-    for (const std::string& sub : list_subdirs(shardwork_root)) {
-      remove_flat_dir(util::path_join(shardwork_root, sub));
-    }
-    ::rmdir(shardwork_root.c_str());
-    ::rmdir(work_dir.c_str());
+    util::remove_tree(work_dir);
     report_.work_dir.clear();
   }
   return merged;

@@ -28,6 +28,8 @@
 // Because per-setting RNG seeds derive from setting identity, the final
 // compacted store of a chaos-ridden, killed-and-resumed run is BYTE
 // IDENTICAL to a fault-free run's — the property the tests and CI cmp.
+// The agent processes run under sweep::LeasePool, the engine the supervisor
+// uses too; this class is the shard policy over it.
 
 #include <atomic>
 #include <cstdint>

@@ -50,8 +50,8 @@ struct ShardLease {
   int holder = -1;    ///< host slot while Leased, -1 otherwise
   std::string evidence;  ///< last failure description (persisted)
 
-  // Volatile scheduling state (monotonic clock; never persisted).
-  std::int64_t lease_deadline_ms = 0;  ///< TTL expiry while Leased; 0 = none
+  // Volatile scheduling state (monotonic clock; never persisted). The TTL
+  // of a live lease is the holder's deadline in the lease pool.
   std::int64_t eligible_at_ms = 0;     ///< backoff gate for the next lease
   std::int64_t prev_delay_ms = 0;      ///< decorrelated-jitter state
 };

@@ -26,6 +26,10 @@
 // SIGINT/SIGTERM drain gracefully: leases stop, workers finish their
 // in-flight setting and exit, journals are already flushed (write-ahead),
 // and the report carries a resume hint.
+//
+// The processes themselves (fork, poll, liveness kills, reaping, drain) are
+// run by sweep::LeasePool, shared with the coordinator; this class is the
+// policy over it.
 
 #include <atomic>
 #include <cstdint>

@@ -3,11 +3,11 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstdlib>
+#include <memory>
 
 #include "arch/cpu_arch.hpp"
 #include "sweep/journal.hpp"
+#include "sweep/lease_pool.hpp"
 #include "util/process.hpp"
 
 namespace omptune::sweep {
@@ -191,107 +191,54 @@ namespace {
 void worker_main(const WorkerConfig& config,
                  const std::vector<SettingTask>& tasks,
                  const RunnerFactory& make_runner) {
-  util::die_with_parent();
-  // Shutdown is coordinated over the command pipe; a terminal SIGINT aimed
-  // at the process group must not take workers down mid-journal-write.
-  ::signal(SIGINT, SIG_IGN);
-  ::signal(SIGTERM, SIG_IGN);
-  ::signal(SIGPIPE, SIG_IGN);
+  LeaseChild child(config.command_fd, config.result_fd,
+                   config.heartbeat_interval_ms);
+  std::unique_ptr<StudyJournal> journal;
+  std::unique_ptr<sim::Runner> runner;
+  std::unique_ptr<SweepHarness> harness;
+  std::unique_ptr<ResiliencePolicy> policy;
+  const sim::ChaosMonkey monkey(config.chaos);
 
-  try {
-    StudyJournal journal(config.journal_dir);
-    std::unique_ptr<sim::Runner> runner = make_runner();
-    SweepHarness harness(*runner, config.repetitions, config.seed);
-    std::unique_ptr<ResiliencePolicy> policy;
+  // Observer state: which setting is in flight and how far along it is,
+  // for deterministic chaos draws.
+  std::string current_key;
+  int current_attempt = 0;
+  std::uint64_t samples_in_setting = 0;
+
+  const auto prepare = [&] {
+    journal = std::make_unique<StudyJournal>(config.journal_dir);
+    runner = make_runner();
+    harness = std::make_unique<SweepHarness>(*runner, config.repetitions,
+                                             config.seed);
     if (config.resilient) {
       policy = std::make_unique<ResiliencePolicy>(config.resilience);
     }
-    const sim::ChaosMonkey monkey(config.chaos);
-    util::BlockingLineReader commands(config.command_fd);
-
-    // Observer state: which setting is in flight and how far along it is,
-    // for heartbeats and deterministic chaos draws.
-    std::string current_key;
-    int current_attempt = 0;
-    std::uint64_t samples_in_setting = 0;
-    std::uint64_t total_samples = 0;
-    std::int64_t last_heartbeat = util::monotonic_ms();
-
-    harness.set_sample_observer([&] {
+    harness->set_sample_observer([&] {
       ++samples_in_setting;
-      ++total_samples;
       const sim::ChaosAction action =
           monkey.draw(current_key, current_attempt, samples_in_setting);
       if (action != sim::ChaosAction::None) {
         apply_chaos(action, config.result_fd);
       }
-      const std::int64_t now = util::monotonic_ms();
-      if (now - last_heartbeat >= config.heartbeat_interval_ms) {
-        last_heartbeat = now;
-        if (!util::write_all(config.result_fd,
-                             protocol::format_heartbeat(total_samples))) {
-          ::_exit(0);  // supervisor gone; nothing left to report to
-        }
-      }
+      child.sample_done();
     });
+  };
 
-    if (!util::write_all(config.result_fd, protocol::format_ready())) {
-      ::_exit(0);
-    }
+  const auto collect = [&](const protocol::LeaseItem& item) -> std::uint64_t {
+    const SettingTask& task = tasks[item.task_index];
+    current_key = task.key;
+    current_attempt = item.attempt;
+    samples_in_setting = 0;
+    const Dataset batch =
+        harness->run_setting(arch::architecture(task.arch), task.setting,
+                             task.config_count, policy.get());
+    // Journal BEFORE reporting: `done` is a promise that the entry is
+    // durably on disk in this worker's journal.
+    journal->record(task.key, batch);
+    return batch.size();
+  };
 
-    for (;;) {
-      const std::optional<std::string> line = commands.next();
-      if (!line) ::_exit(0);  // command pipe EOF: supervisor is gone
-      const std::optional<protocol::Command> command =
-          protocol::parse_command(*line, tasks.size());
-      if (!command) ::_exit(12);  // a garbled supervisor is unrecoverable
-      if (command->kind == protocol::Command::Kind::Exit) {
-        util::write_all(config.result_fd, protocol::format_bye());
-        ::_exit(0);
-      }
-      for (const protocol::LeaseItem& item : command->items) {
-        // Drain: between settings, a pending `exit` abandons the rest of
-        // the lease (the supervisor requeues it) so shutdown never waits
-        // for a whole shard.
-        if (const std::optional<std::string> pending = commands.poll_line()) {
-          const std::optional<protocol::Command> interrupt =
-              protocol::parse_command(*pending, tasks.size());
-          if (interrupt && interrupt->kind == protocol::Command::Kind::Exit) {
-            util::write_all(config.result_fd, protocol::format_bye());
-            ::_exit(0);
-          }
-          ::_exit(12);  // a second lease mid-lease is a supervisor bug
-        }
-        if (commands.eof()) ::_exit(0);
-
-        const SettingTask& task = tasks[item.task_index];
-        current_key = task.key;
-        current_attempt = item.attempt;
-        samples_in_setting = 0;
-        if (!util::write_all(config.result_fd,
-                             protocol::format_start(item.task_index))) {
-          ::_exit(0);
-        }
-        const arch::CpuArch& cpu = arch::architecture(task.arch);
-        const Dataset batch = harness.run_setting(
-            cpu, task.setting, task.config_count, policy.get());
-        // Journal BEFORE reporting: `done` is a promise that the entry is
-        // durably on disk in this worker's journal.
-        journal.record(task.key, batch);
-        if (!util::write_all(
-                config.result_fd,
-                protocol::format_done(item.task_index, batch.size()))) {
-          ::_exit(0);
-        }
-      }
-    }
-  } catch (const std::exception&) {
-    // Anything escaping the measurement stack (runner construction, journal
-    // I/O) is a worker casualty: die with a distinct code, the supervisor
-    // requeues the lease and blames the in-flight setting.
-    ::_exit(11);
-  }
-  ::_exit(0);
+  child.serve(tasks.size(), prepare, collect);
 }
 
 }  // namespace omptune::sweep

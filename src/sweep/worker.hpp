@@ -63,7 +63,6 @@ using RunnerFactory = std::function<std::unique_ptr<sim::Runner>()>;
 struct WorkerConfig {
   int command_fd = -1;  ///< read end: supervisor commands
   int result_fd = -1;   ///< write end: ready/hb/start/done/bye
-  int slot = 0;         ///< stable pool slot (names the journal directory)
   std::string journal_dir;  ///< this worker's private journal directory
   int repetitions = 4;
   std::uint64_t seed = 0;
@@ -73,8 +72,9 @@ struct WorkerConfig {
   std::int64_t heartbeat_interval_ms = 25;
 };
 
-/// Worker entry point; never returns (terminates with _exit so the child
-/// skips the supervisor's atexit/leak machinery it inherited via fork).
+/// Worker entry point: serves the protocol through LeaseChild
+/// (sweep/lease_pool), collecting and journaling one setting per leased
+/// item. Never returns.
 [[noreturn]] void worker_main(const WorkerConfig& config,
                               const std::vector<SettingTask>& tasks,
                               const RunnerFactory& make_runner);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -277,23 +278,58 @@ void create_directories(const std::string& path) {
   }
 }
 
-std::vector<std::string> list_files(const std::string& dir) {
+namespace {
+
+/// Names of the entries directly inside `dir` that `keep` accepts, sorted.
+template <typename Keep>
+std::vector<std::string> list_entries(const std::string& dir, Keep keep) {
   std::vector<std::string> out;
   std::error_code ec;
   if (!stdfs::is_directory(dir, ec)) return out;
   for (const auto& entry : stdfs::directory_iterator(dir, ec)) {
     std::error_code entry_ec;
-    if (entry.is_regular_file(entry_ec)) {
-      out.push_back(entry.path().filename().string());
-    }
+    if (keep(entry, entry_ec)) out.push_back(entry.path().filename().string());
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
+}  // namespace
+
+std::vector<std::string> list_files(const std::string& dir) {
+  return list_entries(dir, [](const stdfs::directory_entry& entry,
+                              std::error_code& ec) {
+    return entry.is_regular_file(ec);
+  });
+}
+
+std::vector<std::string> list_dirs(const std::string& dir) {
+  return list_entries(dir, [](const stdfs::directory_entry& entry,
+                              std::error_code& ec) {
+    return entry.is_directory(ec);
+  });
+}
+
 bool remove_file(const std::string& path) {
   std::error_code ec;
   return stdfs::remove(path, ec);
+}
+
+void remove_tree(const std::string& path) {
+  std::error_code ec;
+  stdfs::remove_all(path, ec);
+}
+
+std::string create_temp_directory(const std::string& tag) {
+  const char* base = std::getenv("TMPDIR");
+  std::string tmpl = base != nullptr && *base != '\0' ? base : "/tmp";
+  tmpl += "/omptune-" + tag + "-XXXXXX";
+  std::vector<char> buf(tmpl.begin(), tmpl.end());
+  buf.push_back('\0');
+  if (::mkdtemp(buf.data()) == nullptr) {
+    throw_storage("create_temp_directory: mkdtemp", tmpl, errno);
+  }
+  return std::string(buf.data());
 }
 
 std::string path_join(const std::string& a, const std::string& b) {

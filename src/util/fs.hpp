@@ -79,8 +79,20 @@ void create_directories(const std::string& path);
 /// Returns an empty list if `dir` does not exist.
 std::vector<std::string> list_files(const std::string& dir);
 
+/// Subdirectories directly inside `dir`, sorted by name. Returns an empty
+/// list if `dir` does not exist.
+std::vector<std::string> list_dirs(const std::string& dir);
+
 /// Remove a file if present; returns whether anything was removed.
 bool remove_file(const std::string& path);
+
+/// Remove `path` and everything under it, if present (best effort, never
+/// throws): the cleanup of journal and work directories a run owns.
+void remove_tree(const std::string& path);
+
+/// Create a fresh private directory "$TMPDIR/omptune-<tag>-XXXXXX" (/tmp
+/// when TMPDIR is unset) and return its path. Throws util::StorageError.
+std::string create_temp_directory(const std::string& tag);
 
 /// `a + "/" + b` with separator de-duplication.
 std::string path_join(const std::string& a, const std::string& b);

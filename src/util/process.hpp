@@ -1,17 +1,19 @@
 #pragma once
 
-// POSIX process and pipe helpers for the study supervisor's worker pool.
+// POSIX process and pipe helpers for the two process supervisors: the
+// lease-pool engine (sweep/lease_pool) under StudySupervisor and
+// Coordinator, and serve::Keeper, which watches one long-lived server
+// child.
 //
-// The supervisor forks one child per worker and talks to it over two
-// pipes: a command pipe (supervisor -> worker, blocking line reads) and a
-// result pipe (worker -> supervisor, drained non-blocking from a poll
-// loop). Everything here is the thin, EINTR-correct plumbing that makes
-// that safe: full-length writes, incremental line assembly with a bound on
-// line length (a garbling worker must not make the supervisor buffer
-// unboundedly), exit-status decoding that distinguishes "exited N" from
-// "killed by signal S" (the supervisor's crash evidence), and a self-pipe
-// signal guard so SIGINT/SIGTERM wake the poll loop instead of killing the
-// study mid-journal-write.
+// A supervisor forks a child and talks to it over two pipes: a command
+// pipe (parent -> child, blocking line reads) and a result pipe (child ->
+// parent, drained non-blocking from a poll loop). Everything here is the
+// thin, EINTR-correct plumbing that makes that safe: full-length writes,
+// incremental line assembly with a bound on line length (a garbling child
+// must not make the parent buffer unboundedly), exit-status decoding that
+// distinguishes "exited N" from "killed by signal S" (the crash evidence),
+// and a self-pipe signal guard so SIGINT/SIGTERM wake the poll loop instead
+// of killing the run mid-journal-write.
 
 #include <sys/types.h>
 

@@ -374,6 +374,35 @@ TEST(Coordinator, DuplicateDeliveryIsIgnoredNotDoubleCounted) {
   EXPECT_EQ(store_bytes(clean), store_bytes(doubled));
 }
 
+TEST(Coordinator, ExpiredLeaseIsReclaimed) {
+  // With the heartbeat check off, a host that stalls mid-shard is reclaimed
+  // only by the lease TTL; the re-leased shard resumes from its journal and
+  // the published store is the fault-free one.
+  const StudyPlan plan = plan_under_test();
+  ScratchDir scratch("coord_lease");
+  const std::string clean = scratch.file("clean.omps");
+  const std::string stalled = scratch.file("stalled.omps");
+  Coordinator clean_run(model_factory(), base_options());
+  clean_run.run(plan, clean);
+
+  const std::uint64_t seed =
+      probe_chaos_seed("wedge=0.5", sim::ShardFault::StallHeartbeat, 4);
+  CoordinatorOptions options = base_options();
+  options.chaos =
+      sim::ChaosSpec::parse("seed=" + std::to_string(seed) + ",wedge=0.5");
+  options.heartbeat_timeout_ms = 0;
+  options.lease_ttl_ms = 1500;
+  options.max_shard_attempts = 100;
+  Coordinator coordinator(model_factory(), options);
+  const Dataset dataset = coordinator.run(plan, stalled);
+  const CoordinatorReport& report = coordinator.report();
+  EXPECT_GT(report.lease_expiries, 0u);
+  EXPECT_EQ(report.hang_kills, 0u);
+  EXPECT_TRUE(report.quarantined_shards.empty());
+  EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
+  EXPECT_EQ(store_bytes(clean), store_bytes(stalled));
+}
+
 // ---- coordinator kill and resume --------------------------------------------
 
 TEST(Coordinator, KillMidLeaseResumesToByteIdenticalStore) {

@@ -8,7 +8,6 @@
 
 #include "ml/features.hpp"
 #include "ml/linalg.hpp"
-#include "ml/linear_regression.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/scaler.hpp"
 #include "util/rng.hpp"
@@ -89,40 +88,6 @@ TEST(Scaler, StandardizesColumns) {
 TEST(Scaler, RequiresFitBeforeTransform) {
   StandardScaler scaler;
   EXPECT_THROW(scaler.transform(Matrix(1, 1)), std::logic_error);
-}
-
-TEST(LinearRegressionTest, RecoversPlantedCoefficients) {
-  util::Xoshiro256 rng(3);
-  Matrix x(200, 2);
-  std::vector<double> y(200);
-  for (int r = 0; r < 200; ++r) {
-    const double a = rng.uniform(-1, 1);
-    const double b = rng.uniform(-1, 1);
-    x.at(static_cast<std::size_t>(r), 0) = a;
-    x.at(static_cast<std::size_t>(r), 1) = b;
-    y[static_cast<std::size_t>(r)] = 3.0 * a - 2.0 * b + 0.5;
-  }
-  LinearRegression model;
-  model.fit(x, y);
-  EXPECT_NEAR(model.coefficients()[0], 3.0, 1e-6);
-  EXPECT_NEAR(model.coefficients()[1], -2.0, 1e-6);
-  EXPECT_NEAR(model.intercept(), 0.5, 1e-6);
-  EXPECT_NEAR(model.r_squared(x, y), 1.0, 1e-9);
-}
-
-TEST(LinearRegressionTest, PoorFitOnNonLinearData) {
-  // The paper's observation: runtimes are not linear in the naive numeric
-  // features; R^2 collapses. Reproduce with a V-shaped target.
-  Matrix x(100, 1);
-  std::vector<double> y(100);
-  for (int r = 0; r < 100; ++r) {
-    const double v = -1.0 + 2.0 * r / 99.0;
-    x.at(static_cast<std::size_t>(r), 0) = v;
-    y[static_cast<std::size_t>(r)] = std::abs(v);
-  }
-  LinearRegression model;
-  model.fit(x, y);
-  EXPECT_LT(model.r_squared(x, y), 0.1);
 }
 
 TEST(LogisticRegressionTest, SeparatesLinearlySeparableData) {

@@ -18,6 +18,7 @@
 #include <set>
 #include <thread>
 
+#include "core/study.hpp"
 #include "core/tuner.hpp"
 #include "analysis/marginals.hpp"
 #include "serve/cache.hpp"
@@ -26,6 +27,7 @@
 #include "serve/snapshot.hpp"
 #include "serve/wire.hpp"
 #include "sim/executor.hpp"
+#include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "sweep/harness.hpp"
 #include "util/fs.hpp"
@@ -337,6 +339,67 @@ TEST(Snapshot, AnswersMatchOfflineAnalysis) {
 
   // An unknown pair has no best config but still gets a priority ladder.
   EXPECT_EQ(snapshot->best_for_pair("no-such-app", store.arch), nullptr);
+}
+
+TEST(Snapshot, QuarantinedRowsStayOutOfEveryPriority) {
+  // Quarantined placeholders (speedup 0) are not measurements: the knowledge
+  // base, a one-shard snapshot and a two-shard snapshot must all rank the
+  // pair's variables as analyze's Fig 4 row does, from the ok rows alone.
+  sim::ModelRunner runner;
+  sweep::SweepHarness harness(runner, 2, 5);
+  const sweep::Dataset collected =
+      harness.run_study(sweep::StudyPlan::mini_plan(3, 200));
+  const std::string arch = "a64fx";
+  const std::string app = "alignment";
+  std::vector<sweep::Sample> samples = collected.samples();
+  std::size_t non_default = 0, quarantined = 0;
+  for (sweep::Sample& s : samples) {
+    if (s.arch != arch || s.app != app || s.is_default) continue;
+    if (non_default++ % 3 != 0) continue;
+    s.status = sweep::SampleStatus::Quarantined;
+    s.error = "synthetic placeholder";
+    s.runtimes.assign(s.runtimes.size(), 0.0);
+    s.mean_runtime = 0.0;
+    s.speedup = 0.0;
+    ++quarantined;
+  }
+  ASSERT_GT(quarantined, 0u);
+  const sweep::Dataset dataset(std::move(samples));
+
+  const core::StudyResult analysed = core::Study(runner).analyze(dataset);
+  const std::vector<std::string> fig4 = core::priority_ladder(
+      app, arch,
+      [&]() -> const analysis::InfluenceMap& {
+        return analysed.per_arch_app_influence;
+      },
+      [&]() -> const analysis::InfluenceMap& {
+        return analysed.per_arch_influence;
+      });
+
+  const std::string dir = temp_dir("snapshot_quarantine");
+  const std::string whole = util::path_join(dir, "whole.omps");
+  const std::string ours = util::path_join(dir, "a64fx.omps");
+  const std::string rest = util::path_join(dir, "rest.omps");
+  store::write_store(whole, dataset);
+  store::write_store(ours, dataset.filter([&](const sweep::Sample& s) {
+    return s.arch == arch;
+  }));
+  store::write_store(rest, dataset.filter([&](const sweep::Sample& s) {
+    return s.arch != arch;
+  }));
+
+  EXPECT_EQ(core::KnowledgeBase(dataset).variable_priority(app, arch), fig4);
+  const store::StoreReader reader(whole);
+  EXPECT_EQ(core::KnowledgeBase(reader, arch).variable_priority(app, arch),
+            fig4);
+
+  const auto one_shard = serve::Snapshot::load({whole}, 1);
+  const auto two_shards = serve::Snapshot::load({ours, rest}, 2);
+  ASSERT_NE(one_shard->priority(app, arch), nullptr);
+  ASSERT_NE(two_shards->priority(app, arch), nullptr);
+  EXPECT_EQ(*one_shard->priority(app, arch), fig4);
+  EXPECT_EQ(*two_shards->priority(app, arch), fig4);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, MultiShardMergesAndLabelsOpenFailures) {

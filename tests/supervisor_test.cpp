@@ -15,9 +15,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "arch/cpu_arch.hpp"
 #include "sim/executor.hpp"
@@ -215,6 +218,26 @@ TEST(Supervisor, WedgedWorkerIsDetectedByMissedHeartbeats) {
   EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
 }
 
+TEST(Supervisor, ExpiredLeaseIsReclaimed) {
+  // With the heartbeat check off, a wedged worker is reclaimed only by its
+  // lease deadline; the setting it held is reassigned, nothing is lost.
+  const StudyPlan plan = plan_under_test();
+  SupervisorOptions options = base_options();
+  options.workers = 2;
+  options.heartbeat_timeout_ms = 0;
+  options.lease_ms = 400;
+  options.chaos = sim::ChaosSpec::parse("seed=17,wedge=0.08");
+  options.max_setting_crashes = 1000;
+  StudySupervisor supervisor(model_factory(), options);
+  const Dataset dataset = supervisor.run(plan);
+  const SupervisorReport& report = supervisor.report();
+  EXPECT_GT(report.lease_expiries, 0u);
+  EXPECT_EQ(report.hang_kills, 0u);
+  EXPECT_EQ(report.settings_completed, report.settings_total);
+  EXPECT_TRUE(report.quarantined_settings.empty());
+  EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
+}
+
 TEST(Supervisor, GarblingWorkerIsKilledAndWorkReassigned) {
   const StudyPlan plan = plan_under_test();
   SupervisorOptions options = base_options();
@@ -229,6 +252,35 @@ TEST(Supervisor, GarblingWorkerIsKilledAndWorkReassigned) {
   const SupervisorReport& report = supervisor.report();
   EXPECT_GT(report.protocol_errors, 0u);
   EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
+}
+
+TEST(Supervisor, WorkersDyingBeforeReadyAbortTheRun) {
+  // A runner that cannot even be built kills every worker before its
+  // `ready` handshake: a broken environment, not a poisonous setting. The
+  // run gives up after five such deaths in a row instead of forking forever.
+  ScratchDir scratch("sup_no_ready");
+  SupervisorOptions options = base_options();
+  options.workers = 2;
+  options.journal_dir = util::path_join(scratch.path(), "journal");
+  options.respawn_backoff.base_ms = 1;
+  options.respawn_backoff.max_ms = 5;
+  StudySupervisor supervisor(
+      []() -> std::unique_ptr<sim::Runner> {
+        throw std::runtime_error("no runner in this environment");
+      },
+      options);
+  try {
+    supervisor.run(plan_under_test());
+    FAIL() << "run() returned despite workers that never became ready";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("consecutive workers died before becoming ready"),
+              std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("exited with code 11"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // ---- quarantine with evidence -----------------------------------------------
@@ -314,6 +366,43 @@ TEST(Supervisor, RequestStopDrainsAndResumeCompletesIdentically) {
   EXPECT_FALSE(second.report().interrupted);
   EXPECT_EQ(second.report().settings_resumed, report.settings_completed);
   EXPECT_EQ(canonical_csv(completed), reference_csv(plan));
+}
+
+TEST(Supervisor, RequestStopFromAnotherThreadDrains) {
+  // request_stop() is safe from another thread: the lease pool's poll loop
+  // reads the flag while this thread sets it (the TSan leg runs this case).
+  const StudyPlan plan = plan_under_test();
+  ScratchDir scratch("sup_stop_thread");
+  const std::string journal_dir = util::path_join(scratch.path(), "journal");
+  SupervisorOptions options = base_options();
+  options.workers = 2;
+  options.shard_size = 1;
+  options.journal_dir = journal_dir;
+  std::atomic<bool> progressed{false};
+  options.progress = [&progressed](const std::string& message) {
+    if (message.find(" samples ") != std::string::npos) progressed.store(true);
+  };
+  StudySupervisor first(model_factory(), options);
+  std::thread stopper([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!progressed.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    first.request_stop();
+  });
+  const Dataset partial = first.run(plan);
+  stopper.join();
+  EXPECT_EQ(partial.size() % 6, 0u);  // whole settings only
+
+  // Stopped or not, resuming completes to the reference dataset.
+  SupervisorOptions resume_options = base_options();
+  resume_options.workers = 2;
+  resume_options.journal_dir = journal_dir;
+  resume_options.resume = true;
+  StudySupervisor second(model_factory(), resume_options);
+  EXPECT_EQ(canonical_csv(second.run(plan)), reference_csv(plan));
+  EXPECT_EQ(second.report().settings_resumed, first.report().settings_completed);
 }
 
 TEST(Supervisor, AdoptsEntriesRecordedByWorkersKilledBeforeReporting) {

@@ -752,23 +752,23 @@ int cmd_serve(int argc, char** argv) {
     if (util::starts_with(arg, "--socket=")) {
       options.socket_path = arg.substr(9);
     } else if (util::starts_with(arg, "--tcp-port=")) {
-      options.tcp_port = std::stoi(arg.substr(11));
+      options.tcp_port = static_cast<int>(flag_value(arg, 11));
     } else if (util::starts_with(arg, "--cache=")) {
-      options.cache_capacity = std::stoul(arg.substr(8));
+      options.cache_capacity = static_cast<std::size_t>(flag_value(arg, 8));
     } else if (util::starts_with(arg, "--max-pending=")) {
-      options.max_pending = std::stoul(arg.substr(14));
+      options.max_pending = static_cast<std::size_t>(flag_value(arg, 14));
     } else if (util::starts_with(arg, "--request-deadline-ms=")) {
-      options.request_deadline_ms = std::stol(arg.substr(22));
+      options.request_deadline_ms = flag_value(arg, 22);
     } else if (util::starts_with(arg, "--stall-timeout-ms=")) {
-      options.stall_timeout_ms = std::stol(arg.substr(19));
+      options.stall_timeout_ms = flag_value(arg, 19);
     } else if (arg == "--no-admin") {
       options.allow_admin = false;
     } else if (arg == "--supervised") {
       supervised = true;
     } else if (util::starts_with(arg, "--hang-timeout-ms=")) {
-      keeper_options.hang_timeout_ms = std::stol(arg.substr(18));
+      keeper_options.hang_timeout_ms = flag_value(arg, 18);
     } else if (util::starts_with(arg, "--max-restarts=")) {
-      keeper_options.max_restarts = std::stoi(arg.substr(15));
+      keeper_options.max_restarts = static_cast<int>(flag_value(arg, 15));
     } else if (util::starts_with(arg, "--incident-log=")) {
       keeper_options.incident_log_path = arg.substr(15);
     } else if (util::starts_with(arg, "--pid-file=")) {
@@ -1073,17 +1073,15 @@ int main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (util::starts_with(arg, "--analysis-threads=")) {
-      const std::string value = arg.substr(19);
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos ||
-          std::stoul(value) < 1 || std::stoul(value) > 4096) {
+      const long long threads = flag_value(arg, 19);
+      if (threads < 1 || threads > 4096) {
         std::fprintf(stderr,
                      "omptune: --analysis-threads expects an integer in "
                      "[1, 4096], got '%s'\n",
-                     value.c_str());
+                     arg.substr(19).c_str());
         return 2;
       }
-      g_analysis_threads = static_cast<unsigned>(std::stoul(value));
+      g_analysis_threads = static_cast<unsigned>(threads);
       continue;
     }
     args.push_back(argv[i]);
