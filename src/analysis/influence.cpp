@@ -88,22 +88,42 @@ std::vector<Group> partition(const sweep::Dataset& dataset, Grouping grouping) {
 
 }  // namespace
 
-InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,
-                           double label_threshold, ml::LogisticOptions options,
-                           const util::ThreadPool* pool) {
-  const ml::FeatureEncoder encoder(options_for(grouping));
-  InfluenceMap map;
-  map.feature_names = encoder.names();
+std::vector<InfluenceMap> influence_maps(const sweep::Dataset& dataset,
+                                         const std::vector<Grouping>& groupings,
+                                         double label_threshold,
+                                         ml::LogisticOptions options,
+                                         const util::ThreadPool* pool) {
+  // Every group of every grouping is one task; the list runs largest
+  // first, so the biggest fits start at once and the small ones fill the
+  // lanes at the end. Each task fills its own slot (degenerate groups
+  // leave theirs empty), gathered per grouping in group order afterwards —
+  // completion order never shows in the output. A task's fit receives the
+  // pool too: when the task list has saturated it, the nested Newton
+  // passes run inline.
+  struct Task {
+    std::size_t grouping;
+    std::size_t group;
+    std::size_t rows;
+  };
+  std::vector<ml::FeatureEncoder> encoders;
+  std::vector<std::vector<Group>> partitions;
+  std::vector<std::vector<std::optional<InfluenceRow>>> slots;
+  std::vector<Task> tasks;
+  for (std::size_t g = 0; g < groupings.size(); ++g) {
+    encoders.emplace_back(options_for(groupings[g]));
+    partitions.push_back(partition(dataset, groupings[g]));
+    slots.emplace_back(partitions[g].size());
+    for (std::size_t k = 0; k < partitions[g].size(); ++k) {
+      tasks.push_back(Task{g, k, partitions[g][k].rows.size()});
+    }
+  }
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const Task& a, const Task& b) { return a.rows > b.rows; });
 
-  // One slot per group, filled concurrently (degenerate groups leave
-  // theirs empty), then gathered in group order — completion order never
-  // shows in the output. A group's fit receives the pool too: when the
-  // group loop has saturated it, the nested Newton passes run inline.
-  const std::vector<Group> groups = partition(dataset, grouping);
-  std::vector<std::optional<InfluenceRow>> rows(groups.size());
   util::parallel_for(
-      pool, groups.size(), 1, [&](std::size_t begin, std::size_t, std::size_t) {
-        const Group& group = groups[begin];
+      pool, tasks.size(), 1, [&](std::size_t t, std::size_t, std::size_t) {
+        const Task& task = tasks[t];
+        const Group& group = partitions[task.grouping][task.group];
         const std::vector<int> labels =
             ml::FeatureEncoder::labels(dataset, group.rows, label_threshold);
 
@@ -115,8 +135,8 @@ InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,
         }
 
         ml::StandardScaler scaler;
-        const ml::Matrix x =
-            scaler.fit_transform(encoder.encode(dataset, group.rows));
+        const ml::Matrix x = scaler.fit_transform(
+            encoders[task.grouping].encode(dataset, group.rows));
         ml::LogisticRegression model(options);
         model.fit(x, labels, pool);
 
@@ -127,12 +147,25 @@ InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,
         row.positive_share =
             static_cast<double>(positives) / static_cast<double>(labels.size());
         row.samples = labels.size();
-        rows[begin] = std::move(row);
+        slots[task.grouping][task.group] = std::move(row);
       });
-  for (auto& row : rows) {
-    if (row.has_value()) map.rows.push_back(std::move(*row));
+
+  std::vector<InfluenceMap> maps(groupings.size());
+  for (std::size_t g = 0; g < groupings.size(); ++g) {
+    maps[g].feature_names = encoders[g].names();
+    for (auto& row : slots[g]) {
+      if (row.has_value()) maps[g].rows.push_back(std::move(*row));
+    }
   }
-  return map;
+  return maps;
+}
+
+InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,
+                           double label_threshold, ml::LogisticOptions options,
+                           const util::ThreadPool* pool) {
+  return std::move(
+      influence_maps(dataset, {grouping}, label_threshold, options, pool)
+          .front());
 }
 
 }  // namespace omptune::analysis

@@ -43,14 +43,23 @@ struct InfluenceMap {
   double at(const std::string& group, const std::string& feature) const;
 };
 
-/// Build the influence map for a grouping. Groups whose labels are all
-/// identical (degenerate classification) are skipped — mirroring e.g. Sort
-/// and Strassen showing no reliance where they were not executed.
+/// Build one influence map per grouping, in the order given. Groups whose
+/// labels are all identical (degenerate classification) are skipped —
+/// mirroring e.g. Sort and Strassen showing no reliance where they were
+/// not executed.
 ///
-/// Groups fit concurrently on `pool` (each group's own Newton passes then
-/// run inline on its worker); rows are emitted in group first-appearance
+/// The group fits of all the groupings form one task list, run on `pool`
+/// largest group first (each fit's own Newton passes then run inline on
+/// its worker). Each map's rows are emitted in group first-appearance
 /// order regardless of completion order, and each fit is deterministic, so
-/// the map is bit-identical at any thread count.
+/// the maps are bit-identical at any thread count.
+std::vector<InfluenceMap> influence_maps(const sweep::Dataset& dataset,
+                                         const std::vector<Grouping>& groupings,
+                                         double label_threshold = 1.01,
+                                         ml::LogisticOptions options = {},
+                                         const util::ThreadPool* pool = nullptr);
+
+/// The influence map of one grouping: influence_maps of just that one.
 InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,
                            double label_threshold = 1.01,
                            ml::LogisticOptions options = {},

@@ -41,15 +41,14 @@ namespace {
 void derive_model_artefacts(const sweep::Dataset& analysed,
                             const StudyOptions& options,
                             const util::ThreadPool* pool, StudyResult& result) {
-  result.per_app_influence =
-      analysis::influence_map(analysed, analysis::Grouping::PerApplication,
-                              options.label_threshold, {}, pool);
-  result.per_arch_influence =
-      analysis::influence_map(analysed, analysis::Grouping::PerArchitecture,
-                              options.label_threshold, {}, pool);
-  result.per_arch_app_influence =
-      analysis::influence_map(analysed, analysis::Grouping::PerArchApplication,
-                              options.label_threshold, {}, pool);
+  std::vector<analysis::InfluenceMap> maps = analysis::influence_maps(
+      analysed,
+      {analysis::Grouping::PerApplication, analysis::Grouping::PerArchitecture,
+       analysis::Grouping::PerArchApplication},
+      options.label_threshold, {}, pool);
+  result.per_app_influence = std::move(maps[0]);
+  result.per_arch_influence = std::move(maps[1]);
+  result.per_arch_app_influence = std::move(maps[2]);
   result.worst_trends = analysis::worst_trends(analysed);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "ml/features.hpp"
@@ -94,15 +95,6 @@ sweep::Dataset KnowledgeBase::rows(const std::string& arch,
   return slice;
 }
 
-sweep::Dataset KnowledgeBase::pair_rows(const std::string& app,
-                                        const std::string& arch) const {
-  sweep::Dataset pair = rows(arch, &app);
-  if (pair.size() == 0) {
-    throw std::invalid_argument("KnowledgeBase: no samples for " + app + " on " + arch);
-  }
-  return pair;
-}
-
 std::vector<std::string> KnowledgeBase::variable_priority(
     const std::string& app, const std::string& arch) const {
   // A group's fit is the fit of its rows alone, so fitting just the pair
@@ -124,24 +116,45 @@ std::vector<std::string> KnowledgeBase::variable_priority(
       });
 }
 
+std::pair<double, rt::RtConfig> KnowledgeBase::best_known(
+    const std::string& app, const std::string& arch) const {
+  // The first row of highest speedup among the pair's ok rows, in source
+  // order. A store answers off the pair's column slices: no Sample is
+  // built and no runtime is read.
+  std::optional<std::pair<double, rt::RtConfig>> best;
+  const auto consider = [&best](double speedup, const auto& config) {
+    if (!best || speedup > best->first) best.emplace(speedup, config());
+  };
+  if (dataset_ != nullptr) {
+    for (const sweep::Sample& s : dataset_->samples()) {
+      if (s.arch != arch || s.app != app || s.is_quarantined()) continue;
+      consider(s.speedup, [&s] { return s.config; });
+    }
+  } else if (arch == reader_arch_) {
+    const std::vector<store::SettingEntry> index = reader_->settings();
+    for (std::size_t i = 0; i < index.size(); ++i) {
+      if (index[i].arch != arch || index[i].app != app) continue;
+      const store::SettingSlice slice = reader_->checked_slice(i);
+      for (std::size_t r = 0; r < slice.rows; ++r) {
+        if (slice.quarantined(r)) continue;
+        consider(slice.speedup[r], [&slice, r] { return slice.config(r); });
+      }
+    }
+  }
+  if (!best) {
+    throw std::invalid_argument("KnowledgeBase: no samples for " + app + " on " + arch);
+  }
+  return *best;
+}
+
 rt::RtConfig KnowledgeBase::best_known_config(const std::string& app,
                                               const std::string& arch) const {
-  const sweep::Dataset pair = pair_rows(app, arch);
-  const sweep::Sample* best = &pair.samples().front();
-  for (const sweep::Sample& s : pair.samples()) {
-    if (s.speedup > best->speedup) best = &s;
-  }
-  return best->config;
+  return best_known(app, arch).second;
 }
 
 double KnowledgeBase::best_known_speedup(const std::string& app,
                                          const std::string& arch) const {
-  const sweep::Dataset pair = pair_rows(app, arch);
-  double best = 0.0;
-  for (const sweep::Sample& s : pair.samples()) {
-    best = std::max(best, s.speedup);
-  }
-  return best;
+  return best_known(app, arch).first;
 }
 
 Tuner::Tuner(sim::Runner& runner, const apps::Application& app,

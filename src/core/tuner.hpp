@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/influence.hpp"
@@ -33,9 +34,11 @@ namespace omptune::core {
 /// Knowledge-based recommendations backed by a study dataset.
 ///
 /// Pair-scoped: construction only records where the samples live and does
-/// no work. Each answer reads just the rows it needs — the asked pair's,
-/// plus the architecture's when variable_priority() has to fall back — and
-/// fits its influence model then. Every const member may be called
+/// no work. Each answer reads just the rows it needs. variable_priority()
+/// copies out the asked pair's rows (plus the architecture's when it has
+/// to fall back) and fits its influence model then; the best_known_*
+/// answers scan the pair's rows in place (a store's column slices) and
+/// copy nothing. Every const member may be called
 /// concurrently (the reader and the pool are themselves safe for that).
 ///
 /// The knowledge base borrows its source: the dataset, or the reader, and
@@ -79,8 +82,10 @@ class KnowledgeBase {
   /// `app`'s when set.
   sweep::Dataset rows(const std::string& arch,
                       const std::string* app = nullptr) const;
-  /// The pair's rows, or std::invalid_argument when it has none.
-  sweep::Dataset pair_rows(const std::string& app, const std::string& arch) const;
+  /// Speedup and configuration of the pair's best ok row (the first on
+  /// ties, in source order), or std::invalid_argument when it has none.
+  std::pair<double, rt::RtConfig> best_known(const std::string& app,
+                                             const std::string& arch) const;
 
   const sweep::Dataset* dataset_ = nullptr;
   const store::StoreReader* reader_ = nullptr;

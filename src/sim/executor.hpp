@@ -8,6 +8,10 @@
 //  - NativeRunner executes the real kernel through the runtime substrate on
 //    the current host and reports wall-clock time. Problem sizes are shrunk
 //    by `native_scale` and thread counts capped for test hosts.
+//
+// Only ModelRunner declares concurrent(): the study harness then collects
+// settings on several lanes at once. A NativeRunner measures wall time on
+// a shared host (and keeps its last checksum), so it stays serial.
 
 #include <cstdint>
 #include <memory>
@@ -28,6 +32,12 @@ class Runner {
                      const arch::CpuArch& cpu, const rt::RtConfig& config,
                      std::uint64_t batch_seed, int repetition,
                      std::uint64_t sample_index) = 0;
+
+  /// Whether run() may be called from several threads at once. A runner
+  /// that says so lets sweep::SweepHarness::run_study collect settings
+  /// concurrently; the default keeps every call on the calling thread, in
+  /// plan order (stateful, timing and fault-injecting runners).
+  virtual bool concurrent() const { return false; }
 };
 
 /// Deterministic model-based runner (the default study engine).
@@ -39,6 +49,9 @@ class ModelRunner final : public Runner {
              const arch::CpuArch& cpu, const rt::RtConfig& config,
              std::uint64_t batch_seed, int repetition,
              std::uint64_t sample_index) override;
+
+  /// The model is pure in its arguments: safe from any number of threads.
+  bool concurrent() const override { return true; }
 
   const PerfModel& model() const { return model_; }
 

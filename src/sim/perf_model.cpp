@@ -40,6 +40,9 @@ double steal_fraction(double imbalance) {
 
 /// Placement statistics are pure in (arch, places, bind, threads) and the
 /// model evaluates millions of configurations per sweep — memoize them.
+/// The shared memo is locked; each thread keeps its own front of pointers
+/// into it (map nodes never move), so lanes collecting settings at once
+/// only take the lock on their first sight of a key.
 const arch::PlacementStats& cached_placement_stats(const CpuArch& cpu,
                                                    arch::PlacesKind places,
                                                    arch::BindKind bind,
@@ -47,14 +50,20 @@ const arch::PlacementStats& cached_placement_stats(const CpuArch& cpu,
   using Key = std::tuple<arch::ArchId, arch::PlacesKind, arch::BindKind, int>;
   static std::map<Key, arch::PlacementStats> cache;
   static std::mutex mutex;
+  thread_local std::map<Key, const arch::PlacementStats*> front;
 
   const Key key{cpu.id, places, bind, threads};
+  const auto hit = front.find(key);
+  if (hit != front.end()) return *hit->second;
   std::lock_guard<std::mutex> lock(mutex);
-  const auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  const arch::Topology topo(cpu);
-  return cache.emplace(key, arch::placement_stats(topo, places, bind, threads))
-      .first->second;
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    const arch::Topology topo(cpu);
+    it = cache.emplace(key, arch::placement_stats(topo, places, bind, threads))
+             .first;
+  }
+  front.emplace(key, &it->second);
+  return it->second;
 }
 
 /// Latency (us) a waiting thread pays per idle episode before it acquires

@@ -484,6 +484,47 @@ sweep::Dataset StoreReader::load(const util::ThreadPool* pool) const {
   return sweep::Dataset(std::move(samples));
 }
 
+void StoreReader::check_slice_columns(std::size_t first,
+                                      std::size_t rows) const {
+  const ConfigColumnsLayout cfg = config_columns_layout(sample_count_);
+  const Section& config_section =
+      sections_[static_cast<std::size_t>(SectionKind::ConfigColumns) - 1];
+  const struct {
+    std::size_t column;
+    std::uint8_t bound;
+    const char* what;
+  } enum_columns[] = {
+      {cfg.places, kPlacesKinds, "places"},
+      {cfg.bind, kBindKinds, "bind"},
+      {cfg.schedule, kScheduleKinds, "schedule"},
+      {cfg.library, kLibraryModes, "library"},
+      {cfg.reduction, kReductionMethods, "reduction"},
+      {cfg.status, kSampleStatuses, "status"},
+      {cfg.is_default, 2, "is_default"},
+  };
+  for (const auto& col : enum_columns) {
+    for (std::size_t row = first; row < first + rows; ++row) {
+      const std::uint8_t value = *at(config_section, col.column + row);
+      if (value >= col.bound) {
+        corrupt(config_section.offset + col.column + row,
+                std::string(col.what) + " value " + std::to_string(value) +
+                    " in row " + std::to_string(row) + " is outside [0, " +
+                    std::to_string(col.bound) + ")");
+      }
+    }
+  }
+  for (std::size_t row = first; row < first + rows; ++row) {
+    const auto count = load_scalar<std::uint16_t>(
+        at(config_section, cfg.runtime_count + 2 * row));
+    if (count > reps_) {
+      corrupt(config_section.offset + cfg.runtime_count + 2 * row,
+              "row " + std::to_string(row) + " declares " +
+                  std::to_string(count) + " runtimes, store holds " +
+                  std::to_string(reps_) + " slots per row");
+    }
+  }
+}
+
 void StoreReader::ensure_scan_validated() const {
   std::call_once(scan_validated_, [this] {
     // The metadata sections (dictionaries, key columns, index) were
@@ -500,43 +541,7 @@ void StoreReader::ensure_scan_validated() const {
     // A checksummed store can still have been *written* with out-of-range
     // codes only by a buggy writer, never by bit rot — but the cost of
     // closing that hole is one linear pass over 7 byte columns, so close it.
-    const ConfigColumnsLayout cfg = config_columns_layout(sample_count_);
-    const Section& config_section =
-        sections_[static_cast<std::size_t>(SectionKind::ConfigColumns) - 1];
-    const struct {
-      std::size_t column;
-      std::uint8_t bound;
-      const char* what;
-    } enum_columns[] = {
-        {cfg.places, kPlacesKinds, "places"},
-        {cfg.bind, kBindKinds, "bind"},
-        {cfg.schedule, kScheduleKinds, "schedule"},
-        {cfg.library, kLibraryModes, "library"},
-        {cfg.reduction, kReductionMethods, "reduction"},
-        {cfg.status, kSampleStatuses, "status"},
-        {cfg.is_default, 2, "is_default"},
-    };
-    for (const auto& col : enum_columns) {
-      for (std::size_t row = 0; row < sample_count_; ++row) {
-        const std::uint8_t value = *at(config_section, col.column + row);
-        if (value >= col.bound) {
-          corrupt(config_section.offset + col.column + row,
-                  std::string(col.what) + " value " + std::to_string(value) +
-                      " in row " + std::to_string(row) + " is outside [0, " +
-                      std::to_string(col.bound) + ")");
-        }
-      }
-    }
-    for (std::size_t row = 0; row < sample_count_; ++row) {
-      const auto count = load_scalar<std::uint16_t>(
-          at(config_section, cfg.runtime_count + 2 * row));
-      if (count > reps_) {
-        corrupt(config_section.offset + cfg.runtime_count + 2 * row,
-                "row " + std::to_string(row) + " declares " +
-                    std::to_string(count) + " runtimes, store holds " +
-                    std::to_string(reps_) + " slots per row");
-      }
-    }
+    check_slice_columns(0, sample_count_);
     // The checksum pass read the whole runtime section; count it once.
     runtime_bytes_touched_.fetch_add(
         sections_[static_cast<std::size_t>(SectionKind::Runtimes) - 1].bytes,
@@ -602,6 +607,34 @@ SettingSlice StoreReader::setting_slice(std::size_t i) const {
   slice.is_default = at(config_section, cfg.is_default + first);
   slice.error =
       reinterpret_cast<const std::uint32_t*>(at(error_section, 4 * first));
+  return slice;
+}
+
+SettingSlice StoreReader::checked_slice(std::size_t i) const {
+  const SettingSlice slice = setting_slice(i);
+  check_slice_columns(slice.first_row, slice.rows);
+  const Section& stat_section =
+      sections_[static_cast<std::size_t>(SectionKind::StatColumns) - 1];
+  const StatColumnsLayout stats = stat_columns_layout(sample_count_);
+  const struct {
+    std::size_t column;
+    const double* values;
+    const char* what;
+  } stat_columns[] = {
+      {stats.mean, slice.mean_runtime, "mean_runtime"},
+      {stats.deflt, slice.default_runtime, "default_runtime"},
+      {stats.speedup, slice.speedup, "speedup"},
+  };
+  for (const auto& col : stat_columns) {
+    for (std::size_t r = 0; r < slice.rows; ++r) {
+      if (!std::isfinite(col.values[r])) {
+        const std::size_t row = slice.first_row + r;
+        corrupt(stat_section.offset + col.column + 8 * row,
+                std::string(col.what) + " in row " + std::to_string(row) +
+                    " is not finite");
+      }
+    }
+  }
   return slice;
 }
 

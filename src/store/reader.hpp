@@ -175,6 +175,14 @@ class StoreReader {
   /// verified first.
   SettingSlice setting_slice(std::size_t i) const;
 
+  /// setting_slice(i) without the whole-store checksum pass: instead the
+  /// run's own rows are checked, as query() checks what it materializes —
+  /// enum bytes and runtime counts in range, stat values finite. For
+  /// reading one setting's columns out of a large store (no Sample is
+  /// built and the runtime block is not read). Throws
+  /// util::DataCorruptionError like query().
+  SettingSlice checked_slice(std::size_t i) const;
+
   /// Visit every setting run with a zero-copy SettingSlice — the
   /// aggregation path: no Dataset, no Sample, no copies. The first scan on
   /// a reader verifies the bulk-section checksums once (config, stats,
@@ -213,6 +221,9 @@ class StoreReader {
   const unsigned char* at(const Section& section, std::size_t offset) const;
   void verify_section_checksum(const Section& section, const char* name) const;
   sweep::Sample materialize_row(std::size_t row) const;
+  /// Range checks of the config columns SettingSlice casts without
+  /// checking (enum bytes, runtime counts) over rows [first, first + rows).
+  void check_slice_columns(std::size_t first, std::size_t rows) const;
   std::uint16_t dict_code(const Section& key_section, std::size_t column_offset,
                           std::size_t row, std::size_t dict, const char* what) const;
 

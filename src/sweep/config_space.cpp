@@ -32,6 +32,10 @@ std::size_t ConfigSpace::size() const {
          blocktimes_ms.size() * reductions.size() * aligns.size();
 }
 
+std::size_t ConfigSpace::sample_size(std::size_t count) const {
+  return std::max<std::size_t>(1, std::min(count, size()));
+}
+
 std::vector<rt::RtConfig> ConfigSpace::enumerate(int num_threads) const {
   std::vector<rt::RtConfig> configs;
   configs.reserve(size());

@@ -50,6 +50,11 @@ struct ConfigSpace {
   /// baseline. `count` is clamped to size().
   std::vector<rt::RtConfig> sample(int num_threads, std::size_t count,
                                    std::uint64_t seed) const;
+
+  /// Length of sample(..., count, ...): `count` clamped to size(), and at
+  /// least 1 (the pinned default). Lets a caller size its rows before it
+  /// samples.
+  std::size_t sample_size(std::size_t count) const;
 };
 
 /// Thread counts swept for VaryThreads applications on one architecture

@@ -103,10 +103,12 @@ std::size_t Dataset::quarantined_count() const {
                     [](const Sample& s) { return s.is_quarantined(); }));
 }
 
-util::CsvTable Dataset::to_csv() const {
+util::CsvTable Dataset::to_csv() const { return sweep::to_csv(samples_); }
+
+util::CsvTable to_csv(std::span<const Sample> samples) {
   // Fixed repetition count across a dataset.
   std::size_t reps = 0;
-  for (const Sample& s : samples_) reps = std::max(reps, s.runtimes.size());
+  for (const Sample& s : samples) reps = std::max(reps, s.runtimes.size());
 
   std::vector<std::string> header = {
       "arch",   "app",      "suite",     "kind",      "input",
@@ -118,7 +120,7 @@ util::CsvTable Dataset::to_csv() const {
   }
 
   util::CsvTable table(std::move(header));
-  for (const Sample& s : samples_) {
+  for (const Sample& s : samples) {
     std::vector<std::string> row = {
         s.arch,
         s.app,

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,10 @@ struct Sample {
 /// by status_preference, not by arrival order.
 std::string sample_identity(const Sample& sample);
 
+/// The open-data CSV form of a run of samples (Dataset::to_csv of a
+/// dataset holding exactly these rows).
+util::CsvTable to_csv(std::span<const Sample> samples);
+
 /// Column-stable dataset container.
 class Dataset {
  public:
@@ -73,7 +78,6 @@ class Dataset {
 
   void add(Sample sample) { samples_.push_back(std::move(sample)); }
   void append(Dataset other);
-  void reserve(std::size_t n) { samples_.reserve(n); }
 
   const std::vector<Sample>& samples() const { return samples_; }
   std::size_t size() const { return samples_.size(); }

@@ -1,10 +1,12 @@
 #include "sweep/harness.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "util/errors.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace omptune::sweep {
 
@@ -175,16 +177,31 @@ Dataset SweepHarness::run_setting(const arch::CpuArch& cpu,
                                   const StudySetting& setting,
                                   std::size_t config_count,
                                   ResiliencePolicy* policy) {
+  std::vector<Sample> samples(
+      ConfigSpace::paper_space(cpu).sample_size(config_count));
+  collect_setting(cpu, setting, config_count, policy, samples);
+  return Dataset(std::move(samples));
+}
+
+void SweepHarness::collect_setting(const arch::CpuArch& cpu,
+                                   const StudySetting& setting,
+                                   std::size_t config_count,
+                                   ResiliencePolicy* policy,
+                                   std::span<Sample> samples) {
   const ConfigSpace space = ConfigSpace::paper_space(cpu);
   const std::uint64_t batch_seed = setting_batch_seed(seed_, cpu, setting);
 
   const std::vector<rt::RtConfig> configs =
       space.sample(setting.num_threads, config_count, batch_seed);
+  if (configs.size() != samples.size()) {
+    throw std::logic_error("collect_setting: " +
+                           std::to_string(samples.size()) + " rows for " +
+                           std::to_string(configs.size()) + " configurations");
+  }
 
   // The paper's batching: all configurations of a setting are explored
   // iteratively within the batch, repetition by repetition, preserving
   // relative performance under slow cluster drift.
-  std::vector<Sample> samples(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     Sample& s = samples[i];
     s.arch = cpu.name;
@@ -261,7 +278,6 @@ Dataset SweepHarness::run_setting(const arch::CpuArch& cpu,
     s.default_runtime = default_mean;
     s.speedup = s.is_quarantined() ? 0.0 : default_mean / s.mean_runtime;
   }
-  return Dataset(std::move(samples));
 }
 
 Dataset SweepHarness::run_study(
@@ -284,58 +300,105 @@ Dataset SweepHarness::run_study(const StudyPlan& plan,
     policy = last_policy_.get();
   }
 
-  Dataset dataset;
-  dataset.reserve(plan.total_samples());
+  // Every setting's rows sit at a fixed offset of the one sample vector,
+  // known from the plan before anything runs.
+  struct Step {
+    const arch::CpuArch* cpu;
+    const StudySetting* setting;
+    std::size_t config_count;
+    std::string key;
+    std::size_t first_row;
+    std::size_t rows;
+    bool resumed = false;
+  };
+  std::vector<Step> steps;
+  std::size_t total_rows = 0;
   for (const ArchPlan& arch_plan : plan.arch_plans) {
     const arch::CpuArch& cpu = arch::architecture(arch_plan.arch);
+    const ConfigSpace space = ConfigSpace::paper_space(cpu);
     for (std::size_t i = 0; i < arch_plan.settings.size(); ++i) {
-      const StudySetting& setting = arch_plan.settings[i];
-      const std::size_t config_count = arch_plan.configs_per_setting[i];
-      const std::string key = setting_key(cpu.name, setting);
-
-      bool resumed = false;
-      if (journal && options.resume && journal->contains(key)) {
-        try {
-          dataset.append(journal->load(key, config_count));
-          resumed = true;
-        } catch (const util::DataCorruptionError& error) {
-          // A garbled or short entry is discarded and the setting
-          // recollected — never silently trusted.
-          journal->discard(key);
-          if (options.progress) {
-            options.progress(key + " journal entry invalid, recollecting (" +
-                            error.what() + ")");
-          }
-        }
-      }
-      if (!resumed) {
-        Dataset batch = run_setting(cpu, setting, config_count, policy);
-        // Write-ahead: persist before the study depends on the data. A
-        // journal append that fails (ENOSPC, EIO...) degrades durability —
-        // a later crash would recollect this setting — but the batch is
-        // already in memory, so the study itself continues.
-        if (journal) {
-          try {
-            journal->record(key, batch);
-          } catch (const util::StorageError& error) {
-            ++journal_append_failures_;
-            if (options.progress) {
-              options.progress(key +
-                               " journal append failed, durability degraded "
-                               "(study continues): " +
-                               error.what());
-            }
-          }
-        }
-        dataset.append(std::move(batch));
-      }
-      if (options.progress) {
-        options.progress(key + " -> " + std::to_string(dataset.size()) +
-                         " samples" + (resumed ? " (resumed)" : ""));
-      }
+      const std::size_t rows =
+          space.sample_size(arch_plan.configs_per_setting[i]);
+      steps.push_back(Step{&cpu, &arch_plan.settings[i],
+                           arch_plan.configs_per_setting[i],
+                           setting_key(cpu.name, arch_plan.settings[i]),
+                           total_rows, rows});
+      total_rows += rows;
     }
   }
-  return dataset;
+  std::vector<Sample> samples(total_rows);
+
+  // One setting: replay its journal entry or collect it, into its rows.
+  const auto run_step = [&](Step& step) {
+    const std::span<Sample> rows(samples.data() + step.first_row, step.rows);
+    if (journal && options.resume && journal->contains(step.key)) {
+      try {
+        const Dataset entry = journal->load(step.key, step.rows);
+        std::copy(entry.samples().begin(), entry.samples().end(),
+                  rows.begin());
+        step.resumed = true;
+        return;
+      } catch (const util::DataCorruptionError& error) {
+        // A garbled or short entry is discarded and the setting
+        // recollected — never silently trusted.
+        journal->discard(step.key);
+        if (options.progress) {
+          options.progress(step.key +
+                           " journal entry invalid, recollecting (" +
+                           error.what() + ")");
+        }
+      }
+    }
+    collect_setting(*step.cpu, *step.setting, step.config_count, policy, rows);
+    // Write-ahead: persist before the study depends on the data. A journal
+    // append that fails (ENOSPC, EIO...) degrades durability — a later
+    // crash would recollect this setting — but the rows are already in
+    // memory, so the study itself continues.
+    if (journal) {
+      try {
+        journal->record(step.key, rows);
+      } catch (const util::StorageError& error) {
+        ++journal_append_failures_;
+        if (options.progress) {
+          options.progress(step.key +
+                           " journal append failed, durability degraded "
+                           "(study continues): " +
+                           error.what());
+        }
+      }
+    }
+  };
+  const auto report = [&](const Step& step) {
+    if (options.progress) {
+      options.progress(step.key + " -> " +
+                       std::to_string(step.first_row + step.rows) +
+                       " samples" + (step.resumed ? " (resumed)" : ""));
+    }
+  };
+
+  // Settings are independent (each seeded by its own key, each writing its
+  // own rows), so a runner that allows it collects them on the pool. The
+  // quarantine list of a policy, the journal's write-ahead order and the
+  // observer's sample count are sequential contracts: those runs, and any
+  // runner that does not declare concurrency, keep the plan-order loop.
+  const bool fan_out = runner_->concurrent() && policy == nullptr &&
+                       !journal && !sample_observer_;
+  if (!fan_out) {
+    for (Step& step : steps) {
+      run_step(step);
+      report(step);
+    }
+    return Dataset(std::move(samples));
+  }
+  std::optional<util::ThreadPool> own_pool;  // call-scoped: joined on return
+  const util::ThreadPool* pool =
+      options.pool != nullptr ? options.pool : &own_pool.emplace();
+  pool->parallel_for(steps.size(), 1,
+                     [&](std::size_t k, std::size_t, std::size_t) {
+                       run_step(steps[k]);
+                     });
+  for (const Step& step : steps) report(step);
+  return Dataset(std::move(samples));
 }
 
 }  // namespace omptune::sweep

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,10 @@
 #include "sweep/dataset.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/resilience.hpp"
+
+namespace omptune::util {
+class ThreadPool;
+}
 
 namespace omptune::sweep {
 
@@ -110,7 +115,13 @@ struct StudyRunOptions {
   /// false, runner exceptions propagate (the seed behaviour).
   bool resilient = false;
   ResilienceOptions resilience;
+  /// Called on the calling thread after each setting, in plan order.
   std::function<void(const std::string&)> progress;
+  /// Lanes for collecting settings concurrently, lent by the caller. Only
+  /// a run that may fan out uses them (see SweepHarness::run_study); when
+  /// such a run gets none, it makes a pool of the default lane count and
+  /// joins it before returning.
+  const util::ThreadPool* pool = nullptr;
 };
 
 /// Runs a plan against a Runner and produces the dataset.
@@ -131,6 +142,15 @@ class SweepHarness {
                       ResiliencePolicy* policy = nullptr);
 
   /// Run a whole plan. `progress` (optional) is called after each setting.
+  ///
+  /// The result is sized once from the plan and each setting fills its own
+  /// fixed run of rows. When the runner declares concurrent() and the run
+  /// has no resilience policy, journal or sample observer, the settings
+  /// are collected on a pool (grain 1, plan order) and the progress calls
+  /// follow in plan order once every setting is in; otherwise runner
+  /// calls, journal writes and progress calls interleave in plan order on
+  /// the calling thread. Per-setting seeds and fixed row offsets make the
+  /// dataset identical either way, at any lane count.
   Dataset run_study(const StudyPlan& plan,
                     const std::function<void(const std::string&)>& progress = {});
 
@@ -167,6 +187,13 @@ class SweepHarness {
   int repetitions() const { return repetitions_; }
 
  private:
+  /// Sweep one setting into `samples`, which must hold exactly
+  /// ConfigSpace::sample_size(config_count) default rows (run_setting's
+  /// own vector, or the setting's run of a run_study's result).
+  void collect_setting(const arch::CpuArch& cpu, const StudySetting& setting,
+                       std::size_t config_count, ResiliencePolicy* policy,
+                       std::span<Sample> samples);
+
   sim::Runner* runner_;
   int repetitions_;
   std::uint64_t seed_;

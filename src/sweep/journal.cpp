@@ -50,9 +50,10 @@ bool StudyJournal::contains(const std::string& key) const {
   return util::file_exists(entry_path(key));
 }
 
-void StudyJournal::record(const std::string& key, const Dataset& dataset) const {
+void StudyJournal::record(const std::string& key,
+                          std::span<const Sample> samples) const {
   std::ostringstream os;
-  dataset.to_csv().write(os);
+  to_csv(samples).write(os);
   util::atomic_write_file(entry_path(key), os.str());
 }
 

@@ -18,6 +18,7 @@
 // util::DataCorruptionError, never as a silently short dataset.
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,10 @@ class StudyJournal {
   bool contains(const std::string& key) const;
 
   /// Persist a setting's samples under `key` (atomic replace).
-  void record(const std::string& key, const Dataset& dataset) const;
+  void record(const std::string& key, std::span<const Sample> samples) const;
+  void record(const std::string& key, const Dataset& dataset) const {
+    record(key, dataset.samples());
+  }
 
   /// Load the entry for `key`. `expected_samples` > 0 additionally asserts
   /// the stored sample count (a clean-boundary truncation is otherwise

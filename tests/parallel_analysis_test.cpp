@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/influence.hpp"
 #include "analysis/marginals.hpp"
 #include "analysis/recommend.hpp"
 #include "analysis/speedup.hpp"
@@ -277,6 +278,38 @@ TEST(ParallelAnalysisTest, AnalyzeStoreEqualsSerialAnalyzeAtEveryPoolSize) {
     for (std::size_t i = 0; i < got.worst_trends.size(); ++i) {
       EXPECT_EQ(got.worst_trends[i].condition, want.worst_trends[i].condition);
       EXPECT_EQ(got.worst_trends[i].lift, want.worst_trends[i].lift);
+    }
+  }
+}
+
+TEST(ParallelAnalysisTest, InfluenceMapsEqualOneMapPerGroupingAtEveryPoolSize) {
+  // One largest-first task list over all three groupings must give exactly
+  // the maps of three separate influence_map calls.
+  const sweep::Dataset clean = golden().dataset.ok_samples();
+  const std::vector<analysis::Grouping> groupings = {
+      analysis::Grouping::PerApplication, analysis::Grouping::PerArchitecture,
+      analysis::Grouping::PerArchApplication};
+  for (const unsigned lanes : {1u, 2u, 8u}) {
+    const util::ThreadPool pool(lanes);
+    const std::vector<analysis::InfluenceMap> maps =
+        analysis::influence_maps(clean, groupings, 1.01, {}, &pool);
+    ASSERT_EQ(maps.size(), groupings.size());
+    for (std::size_t g = 0; g < groupings.size(); ++g) {
+      const std::string label = std::to_string(lanes) + " lanes, " +
+                                analysis::to_string(groupings[g]);
+      const analysis::InfluenceMap want =
+          analysis::influence_map(clean, groupings[g]);
+      EXPECT_EQ(maps[g].feature_names, want.feature_names) << label;
+      ASSERT_EQ(maps[g].rows.size(), want.rows.size()) << label;
+      for (std::size_t r = 0; r < want.rows.size(); ++r) {
+        EXPECT_EQ(maps[g].rows[r].group, want.rows[r].group) << label;
+        EXPECT_EQ(maps[g].rows[r].influence, want.rows[r].influence) << label;
+        EXPECT_EQ(maps[g].rows[r].model_accuracy, want.rows[r].model_accuracy)
+            << label;
+        EXPECT_EQ(maps[g].rows[r].positive_share, want.rows[r].positive_share)
+            << label;
+        EXPECT_EQ(maps[g].rows[r].samples, want.rows[r].samples) << label;
+      }
     }
   }
 }

@@ -399,6 +399,23 @@ TEST(Snapshot, QuarantinedRowsStayOutOfEveryPriority) {
   ASSERT_NE(two_shards->priority(app, arch), nullptr);
   EXPECT_EQ(*one_shard->priority(app, arch), fig4);
   EXPECT_EQ(*two_shards->priority(app, arch), fig4);
+
+  // The best-known answers skip the placeholders as well: the store-backed
+  // knowledge base (column slices) equals the dataset-backed one (a walk of
+  // the samples) and both equal the best ok row.
+  const sweep::Sample* best = nullptr;
+  for (const sweep::Sample& s : dataset.samples()) {
+    if (s.arch != arch || s.app != app || s.is_quarantined()) continue;
+    if (best == nullptr || s.speedup > best->speedup) best = &s;
+  }
+  ASSERT_NE(best, nullptr);
+  const core::KnowledgeBase from_dataset(dataset);
+  const core::KnowledgeBase from_store(reader, arch);
+  EXPECT_EQ(from_dataset.best_known_speedup(app, arch), best->speedup);
+  EXPECT_EQ(from_dataset.best_known_config(app, arch), best->config);
+  EXPECT_EQ(from_store.best_known_speedup(app, arch), best->speedup);
+  EXPECT_EQ(from_store.best_known_config(app, arch).key(),
+            best->config.key());
   std::filesystem::remove_all(dir);
 }
 

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "analysis/recommend.hpp"
 #include "core/tuner.hpp"
@@ -427,6 +428,42 @@ TEST(Store, PairScopedKnowledgeBaseMatchesArchSliceFits) {
   expect_kb_matches(core::KnowledgeBase(reader, "no-such-arch"), unknown,
                     flat_app, "no-such-arch");
   expect_kb_matches(from_dataset, unknown, flat_app, "no-such-arch");
+
+  // A quarantined row never answers best_known_*, even when it carries the
+  // pair's highest speedup: the store's column slices and the dataset walk
+  // both skip it and agree on the best ok row.
+  std::vector<sweep::Sample> rows = dataset.samples();
+  const sweep::Sample* ok_best = nullptr;
+  sweep::Sample* ghost = nullptr;
+  for (sweep::Sample& s : rows) {
+    if (s.arch != flat_arch || s.app != dataset.samples().front().app) continue;
+    if (ghost == nullptr && !s.is_default) {
+      ghost = &s;
+      continue;
+    }
+    if (ok_best == nullptr || s.speedup > ok_best->speedup) ok_best = &s;
+  }
+  ASSERT_NE(ghost, nullptr);
+  ASSERT_NE(ok_best, nullptr);
+  const std::string pair_app = ghost->app;
+  ghost->status = sweep::SampleStatus::Quarantined;
+  ghost->error = "synthetic placeholder";
+  ghost->speedup = 2.0 * ok_best->speedup + 1.0;
+  const sweep::Sample expected = *ok_best;
+  const sweep::Dataset with_ghost(std::move(rows));
+  const std::string ghost_path = util::path_join(dir, "ghost.omps");
+  with_ghost.save_store(ghost_path);
+  const store::StoreReader ghost_reader(ghost_path);
+  const core::KnowledgeBase ghost_store(ghost_reader, flat_arch);
+  const core::KnowledgeBase ghost_dataset(with_ghost);
+  EXPECT_EQ(ghost_store.best_known_speedup(pair_app, flat_arch),
+            expected.speedup);
+  EXPECT_EQ(ghost_store.best_known_config(pair_app, flat_arch),
+            expected.config);
+  EXPECT_EQ(ghost_dataset.best_known_speedup(pair_app, flat_arch),
+            expected.speedup);
+  EXPECT_EQ(ghost_dataset.best_known_config(pair_app, flat_arch),
+            expected.config);
   std::filesystem::remove_all(dir);
 }
 
@@ -668,6 +705,61 @@ TEST(StoreCorruption, OutOfRangeDictionaryCodeIsCaughtAtMaterialization) {
     EXPECT_NE(what.find("@ offset " + std::to_string(suite_offset)),
               std::string::npos)
         << what;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StoreCorruption, CheckedSliceRejectsBadStatusAndNonFiniteSpeedup) {
+  // A checked slice skips the bulk checksums, so it must range-check what
+  // it hands out, as a query does: a status byte outside the enum and a
+  // NaN speedup in row 0 both surface as DataCorruptionError, also through
+  // the store-backed best-known answer that reads the slice.
+  const sweep::Dataset dataset = sample_dataset();
+  const sweep::Sample& row0 = dataset.samples().front();
+  const std::string dir = temp_dir("checked_slice");
+  const auto section_offset = [](const std::string& bytes,
+                                 store::SectionKind kind) {
+    const std::size_t entry =
+        store::kHeaderBytes +
+        (static_cast<std::size_t>(kind) - 1) * store::kSectionEntryBytes;
+    return static_cast<std::size_t>(store::load_scalar<std::uint64_t>(
+        reinterpret_cast<const unsigned char*>(bytes.data()) + entry + 8));
+  };
+  const std::string clean = store::serialize_store(dataset);
+
+  std::string bad_status = clean;
+  const std::size_t status_offset =
+      section_offset(bad_status, store::SectionKind::ConfigColumns) +
+      store::config_columns_layout(dataset.size()).status;
+  bad_status[status_offset] = '\xFF';
+
+  std::string bad_speedup = clean;
+  const std::size_t speedup_offset =
+      section_offset(bad_speedup, store::SectionKind::StatColumns) +
+      store::stat_columns_layout(dataset.size()).speedup;
+  const double nan = std::nan("");
+  std::memcpy(bad_speedup.data() + speedup_offset, &nan, sizeof(nan));
+
+  for (const auto& [bytes, what, offset] :
+       {std::tuple{bad_status, std::string("status value 255"), status_offset},
+        std::tuple{bad_speedup, std::string("speedup in row 0 is not finite"),
+                   speedup_offset}}) {
+    SCOPED_TRACE(what);
+    const store::StoreReader reader(write_raw(dir, bytes));
+    ASSERT_EQ(reader.settings().front().first_row, 0u);
+    try {
+      reader.checked_slice(0);
+      FAIL() << "expected DataCorruptionError";
+    } catch (const util::DataCorruptionError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(what), std::string::npos) << message;
+      EXPECT_NE(message.find("@ offset " + std::to_string(offset)),
+                std::string::npos)
+          << message;
+    }
+    const core::KnowledgeBase kb(reader, row0.arch);
+    EXPECT_THROW(kb.best_known_speedup(row0.app, row0.arch),
+                 util::DataCorruptionError);
   }
   std::filesystem::remove_all(dir);
 }

@@ -4,13 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <utility>
+
+#include <unistd.h>
 
 #include "sim/executor.hpp"
 #include "sweep/config_space.hpp"
 #include "sweep/dataset.hpp"
 #include "sweep/harness.hpp"
+#include "util/thread_pool.hpp"
 
 namespace omptune::sweep {
 namespace {
@@ -70,6 +77,16 @@ TEST(ConfigSpace, SampleClampsToSpaceSize) {
   std::set<std::string> keys;
   for (const auto& config : all) keys.insert(config.key());
   EXPECT_EQ(keys.size(), all.size());  // a permutation, not a resample
+}
+
+TEST(ConfigSpace, SampleSizeIsTheSampleLength) {
+  const auto space = ConfigSpace::paper_space(architecture(ArchId::A64FX));
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, space.size(),
+        space.size() + 5}) {
+    EXPECT_EQ(space.sample_size(count), space.sample(0, count, 3).size())
+        << "count " << count;
+  }
 }
 
 TEST(ThreadSweep, QuarterStepsOfTheMachine) {
@@ -178,6 +195,172 @@ TEST(SweepHarness, MiniStudyRunsAllArchitectures) {
   EXPECT_EQ(dataset.size(), 3u * 2u * 30u);
   const auto archs = dataset.distinct([](const Sample& s) { return s.arch; });
   EXPECT_EQ(archs.size(), 3u);
+}
+
+void expect_same_samples(const Dataset& got, const Dataset& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Sample& a = got.samples()[i];
+    const Sample& b = want.samples()[i];
+    SCOPED_TRACE("row " + std::to_string(i));
+    EXPECT_EQ(a.arch, b.arch);
+    EXPECT_EQ(a.app, b.app);
+    EXPECT_EQ(a.suite, b.suite);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.input, b.input);
+    EXPECT_EQ(a.threads, b.threads);
+    EXPECT_EQ(a.config, b.config);
+    EXPECT_EQ(a.runtimes, b.runtimes);
+    EXPECT_EQ(a.mean_runtime, b.mean_runtime);
+    EXPECT_EQ(a.default_runtime, b.default_runtime);
+    EXPECT_EQ(a.speedup, b.speedup);
+    EXPECT_EQ(a.is_default, b.is_default);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.attempts, b.attempts);
+    EXPECT_EQ(a.error, b.error);
+  }
+}
+
+/// The plan collected setting by setting with run_setting, and the
+/// progress lines run_study reports for it.
+struct SettingBySetting {
+  Dataset dataset;
+  std::vector<std::string> progress;
+};
+
+SettingBySetting collect_by_setting(SweepHarness& harness,
+                                    const StudyPlan& plan) {
+  SettingBySetting out;
+  for (const ArchPlan& arch_plan : plan.arch_plans) {
+    const arch::CpuArch& cpu = architecture(arch_plan.arch);
+    for (std::size_t i = 0; i < arch_plan.settings.size(); ++i) {
+      out.dataset.append(harness.run_setting(cpu, arch_plan.settings[i],
+                                             arch_plan.configs_per_setting[i]));
+      out.progress.push_back(setting_key(cpu.name, arch_plan.settings[i]) +
+                             " -> " + std::to_string(out.dataset.size()) +
+                             " samples");
+    }
+  }
+  return out;
+}
+
+TEST(SweepHarness, StudyOnAPoolEqualsSettingBySetting) {
+  // A concurrent runner's study fans the settings out; every lane count
+  // must give the setting-by-setting dataset, with progress on the calling
+  // thread in plan order.
+  const StudyPlan plan = StudyPlan::mini_plan(3, 20);
+  sim::ModelRunner runner;
+  SweepHarness harness(runner, 3, 21);
+  const SettingBySetting expected = collect_by_setting(harness, plan);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const unsigned lanes : {1u, 2u, 8u}) {
+    SCOPED_TRACE(std::to_string(lanes) + " lanes");
+    const util::ThreadPool pool(lanes);
+    std::vector<std::string> progress;
+    StudyRunOptions options;
+    options.pool = &pool;
+    options.progress = [&](const std::string& line) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      progress.push_back(line);
+    };
+    expect_same_samples(harness.run_study(plan, options), expected.dataset);
+    EXPECT_EQ(progress, expected.progress);
+  }
+  // Without a lent pool the study makes its own.
+  expect_same_samples(harness.run_study(plan), expected.dataset);
+}
+
+/// Records the thread and the (seed, repetition, index) of every call, in
+/// call order, and answers with the model.
+class RecordingRunner final : public sim::Runner {
+ public:
+  explicit RecordingRunner(bool concurrent) : concurrent_(concurrent) {}
+
+  struct Call {
+    std::thread::id thread;
+    std::uint64_t batch_seed;
+    int repetition;
+    std::uint64_t sample_index;
+  };
+
+  double run(const apps::Application& app, const apps::InputSize& input,
+             const arch::CpuArch& cpu, const rt::RtConfig& config,
+             std::uint64_t batch_seed, int repetition,
+             std::uint64_t sample_index) override {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      calls_.push_back(Call{std::this_thread::get_id(), batch_seed, repetition,
+                            sample_index});
+    }
+    return model_.run(app, input, cpu, config, batch_seed, repetition,
+                      sample_index);
+  }
+  bool concurrent() const override { return concurrent_; }
+
+  std::vector<Call> take() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(calls_, {});
+  }
+
+ private:
+  bool concurrent_;
+  sim::ModelRunner model_;
+  std::mutex mutex_;
+  std::vector<Call> calls_;
+};
+
+TEST(SweepHarness, SequentialRunsKeepEveryRunnerCallOnTheCallingThread) {
+  // A runner that does not declare concurrency, and resilient, journaled
+  // and observed runs with one that does, keep the plan-order loop: every
+  // call on the calling thread, in the setting-by-setting order — even
+  // with a pool lent.
+  const StudyPlan plan = StudyPlan::mini_plan(2, 12);
+  const std::thread::id caller = std::this_thread::get_id();
+  const util::ThreadPool pool(4);
+  const std::string journal_dir =
+      (std::filesystem::temp_directory_path() /
+       ("omptune_sweep_serial_" + std::to_string(::getpid())))
+          .string();
+
+  RecordingRunner reference_runner(false);
+  SweepHarness reference(reference_runner, 2, 9);
+  const Dataset expected = collect_by_setting(reference, plan).dataset;
+  const std::vector<RecordingRunner::Call> order = reference_runner.take();
+
+  struct Case {
+    const char* name;
+    bool concurrent;
+    bool resilient;
+    bool journaled;
+    bool observed;
+  };
+  for (const Case& c : {Case{"not concurrent", false, false, false, false},
+                        Case{"resilient", true, true, false, false},
+                        Case{"journaled", true, false, true, false},
+                        Case{"observed", true, false, false, true}}) {
+    SCOPED_TRACE(c.name);
+    RecordingRunner runner(c.concurrent);
+    SweepHarness harness(runner, 2, 9);
+    std::size_t observed = 0;
+    if (c.observed) harness.set_sample_observer([&observed] { ++observed; });
+    StudyRunOptions options;
+    options.pool = &pool;
+    options.resilient = c.resilient;
+    if (c.journaled) options.journal_dir = journal_dir;
+    expect_same_samples(harness.run_study(plan, options), expected);
+    const std::vector<RecordingRunner::Call> calls = runner.take();
+    ASSERT_EQ(calls.size(), order.size());
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      ASSERT_EQ(calls[i].thread, caller) << "call " << i;
+      ASSERT_EQ(calls[i].batch_seed, order[i].batch_seed) << "call " << i;
+      ASSERT_EQ(calls[i].repetition, order[i].repetition) << "call " << i;
+      ASSERT_EQ(calls[i].sample_index, order[i].sample_index) << "call " << i;
+    }
+    if (c.observed) {
+      EXPECT_EQ(observed, calls.size());
+    }
+    std::filesystem::remove_all(journal_dir);
+  }
 }
 
 TEST(Dataset, CsvRoundTrip) {

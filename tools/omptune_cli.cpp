@@ -186,7 +186,8 @@ int usage() {
       "  threads <app> <arch>              thread-count scaling + advice\n"
       "global flags:\n"
       "  --analysis-threads=N              worker threads for the analytics\n"
-      "                                    engine (default: the\n"
+      "                                    engine and for collecting a study's\n"
+      "                                    settings (default: the\n"
       "                                    OMPTUNE_ANALYSIS_THREADS variable,\n"
       "                                    then all hardware threads); results\n"
       "                                    are identical at any thread count\n"
@@ -414,8 +415,8 @@ int cmd_study(int argc, char** argv) {
   } else {
     sweep::SweepHarness harness(runner, core::StudyOptions{}.repetitions,
                                 core::StudyOptions{}.seed);
-    const sweep::Dataset dataset = harness.run_study(plan, options);
-    result = study.analyze(dataset, &pool);
+    options.pool = &pool;
+    result = study.analyze(harness.run_study(plan, options), &pool);
     std::printf("collected %zu samples\n", result.dataset.size());
     if (harness.last_policy() && harness.last_policy()->total_retries() > 0) {
       std::printf("retries performed: %llu\n",
@@ -717,21 +718,31 @@ int cmd_query(int argc, char** argv) {
   if (!input_found("query", path)) return kExitNoInput;
 
   const store::StoreReader reader(path);
-  store::StoreQuery query;
-  query.app = app;
-  query.arch = arch;
-  const sweep::Dataset slice = reader.query(query);
+  // Count the pair's rows and their runtime bytes off the index and the
+  // runtime-count column; the one read of those bytes is the priority
+  // fit's materialization of the pair below.
+  const std::vector<store::SettingEntry> index = reader.settings();
+  std::size_t matched = 0;
+  std::uint64_t pair_runtime_bytes = 0;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    if (index[i].app != app || index[i].arch != arch) continue;
+    const store::SettingSlice slice = reader.checked_slice(i);
+    matched += slice.rows;
+    for (std::size_t r = 0; r < slice.rows; ++r) {
+      pair_runtime_bytes += 8u * slice.runtime_count[r];
+    }
+  }
   const std::uint64_t runtime_total =
       static_cast<std::uint64_t>(reader.size()) * reader.repetitions() * 8;
   std::printf("store %s: %zu samples, %zu settings, %llu bytes\n", path.c_str(),
-              reader.size(), reader.settings().size(),
+              reader.size(), index.size(),
               static_cast<unsigned long long>(reader.file_bytes()));
   std::printf("matched %zu samples for %s on %s "
               "(runtime bytes read: %llu of %llu)\n\n",
-              slice.size(), app.c_str(), arch.c_str(),
-              static_cast<unsigned long long>(reader.runtime_bytes_touched()),
+              matched, app.c_str(), arch.c_str(),
+              static_cast<unsigned long long>(pair_runtime_bytes),
               static_cast<unsigned long long>(runtime_total));
-  if (slice.size() == 0) {
+  if (matched == 0) {
     std::printf("no samples for this (app, arch) pair in the store\n");
     return 1;
   }
