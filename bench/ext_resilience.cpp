@@ -4,7 +4,8 @@
 // Runs the same fault-free mini-plan three ways and compares wall time:
 //   bare        the seed harness (direct runner calls, no persistence)
 //   resilient   retry/quarantine guard, no journal
-//   journaled   guard + write-ahead journal (one atomic CSV per setting)
+//   journaled   guard + write-ahead journal (one atomic .omps segment per
+//               setting)
 //   supervised  StudySupervisor with --workers=1: a forked worker process,
 //               lease/heartbeat pipe protocol, per-worker journal adopted
 //               by the parent — the full isolation stack on one worker
@@ -14,7 +15,7 @@
 //           resemble actual collection, and this is where the < 10%
 //           acceptance target applies;
 //   model   microsecond-scale analytic samples — a deliberate stress test
-//           where per-setting fsyncs and CSV serialization have nothing to
+//           where per-setting fsyncs and segment encoding have nothing to
 //           hide behind (reported for transparency, no target).
 //
 // A fourth leg bounds the crash-consistency injection seam (util::IoHooks,
@@ -136,7 +137,7 @@ class PassThroughHooks : public util::IoHooks {
   }
 };
 
-/// One round of journal-style durability work: `files` atomic CSV-sized
+/// One round of journal-style durability work: `files` atomic small-file
 /// replacements plus one durable append per file — the same fs primitives
 /// the write-ahead journal and incident log exercise per setting.
 double time_hook_shim_round(const std::string& dir, int files) {

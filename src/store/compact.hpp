@@ -1,36 +1,25 @@
 #pragma once
 
-// Journal compaction: fold the many per-setting CSV entries a journaled
-// study leaves behind into one indexed .omps store. This is the bridge from
-// the fault-tolerant collection format (one small atomic file per setting)
-// to the query format (one mmap-able file per study) — analyze/recommend
-// then parse no CSV at all.
+// Journal compaction (sweep::StudyJournal::compact) folds the many
+// single-setting .omps segments a journaled study leaves behind into one
+// indexed .omps store. This is the bridge from the fault-tolerant
+// collection layout (one small atomic file per setting) to the query layout
+// (one mmap-able file per study, with one index over every setting).
+// Segments keep every double exactly, so compaction changes row order
+// only, never a value.
 
 #include <cstddef>
-#include <string>
-
-namespace omptune::sweep {
-class StudyJournal;
-}
 
 namespace omptune::store {
 
 /// Outcome tally of one compaction run.
 struct CompactReport {
-  std::size_t entries = 0;            ///< journal CSV files folded in
+  std::size_t entries = 0;            ///< journal segments folded in
   std::size_t samples_in = 0;         ///< rows read across all entries
   std::size_t samples_out = 0;        ///< rows written to the store
   std::size_t duplicates_dropped = 0; ///< rows dropped as duplicate identities
   std::size_t replaced = 0;           ///< kept rows upgraded by a better status
   std::size_t quarantined = 0;        ///< quarantined rows in the output
 };
-
-/// Compact every completed entry of `journal` into an .omps store at
-/// `out_path` (atomic replace). Entries are concatenated in file-name order
-/// and deduplicated by measurement identity, best status winning — the
-/// behavior StudyJournal::compact documents. Throws
-/// util::DataCorruptionError if any entry fails CSV validation.
-CompactReport compact_journal(const sweep::StudyJournal& journal,
-                              const std::string& out_path);
 
 }  // namespace omptune::store

@@ -3,12 +3,14 @@
 // On-disk layout of the .omps binary columnar sample store (version 1).
 //
 // Why a binary store: the study's knowledge base is a >240k-sample tabular
-// dataset, and the journal multiplies it into hundreds of per-setting CSV
-// files. Re-parsing text on every `analyze`/`recommend` dominates their
-// runtime; a recommendation for one (app, arch) pair does not need the
-// other ~99% of the rows at all. The store keeps each variable in its own
-// typed contiguous block with an embedded setting index, so an mmap-backed
-// reader materializes exactly the rows a query touches.
+// dataset. Re-parsing text on every `analyze`/`recommend` would dominate
+// their runtime, and a recommendation for one (app, arch) pair does not
+// need the other ~99% of the rows at all. The store keeps each variable in
+// its own typed contiguous block with an embedded setting index, so an
+// mmap-backed reader materializes exactly the rows a query touches. The
+// write-ahead journal uses the same format: each entry is a one-setting
+// store (a segment), so collection, compaction and queries share one
+// exact, checksummed encoding.
 //
 // Layout (all integers little-endian, every section 8-byte aligned, packed
 // back-to-back with no gaps — every file byte is covered by exactly one

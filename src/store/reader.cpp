@@ -77,7 +77,10 @@ util::MappedFile open_store_file(const std::string& path,
 StoreReader::StoreReader(const std::string& path) : StoreReader(path, 0) {}
 
 StoreReader::StoreReader(const std::string& path, std::uint64_t generation)
-    : file_(open_store_file(path, generation)), generation_(generation) {
+    : StoreReader(open_store_file(path, generation), generation) {}
+
+StoreReader::StoreReader(util::MappedFile file, std::uint64_t generation)
+    : file_(std::move(file)), generation_(generation) {
   const unsigned char* data = file_.data();
   const std::size_t size = file_.size();
 
@@ -689,13 +692,3 @@ sweep::Dataset StoreReader::query(const StoreQuery& query) const {
 }
 
 }  // namespace omptune::store
-
-namespace omptune::sweep {
-
-// Declared in sweep/dataset.hpp, implemented here so the base sweep library
-// carries no dependency on the store format.
-Dataset Dataset::load_store(const std::string& path) {
-  return store::StoreReader(path).load();
-}
-
-}  // namespace omptune::sweep

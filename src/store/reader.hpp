@@ -133,6 +133,11 @@ class StoreReader {
   /// adopt (see serve::Snapshot).
   StoreReader(const std::string& path, std::uint64_t generation);
 
+  /// Validates a store already held in `file` (e.g. bytes read through
+  /// util::read_file, see util::MappedFile::from_bytes); errors name
+  /// file.path().
+  explicit StoreReader(util::MappedFile file, std::uint64_t generation = 0);
+
   const std::string& path() const { return file_.path(); }
 
   /// Serving-generation label this reader was opened under (0: unlabeled).

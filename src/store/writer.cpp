@@ -98,8 +98,7 @@ class SectionWriter {
 
 }  // namespace
 
-std::string serialize_store(const Dataset& dataset) {
-  const std::vector<Sample>& samples = dataset.samples();
+std::string serialize_store(std::span<const Sample> samples) {
   const std::size_t n = samples.size();
 
   // ---- pass 1: dictionary codes, index runs and the runtime stride ----
@@ -286,18 +285,12 @@ std::string serialize_store(const Dataset& dataset) {
   return out;
 }
 
+std::string serialize_store(const Dataset& dataset) {
+  return serialize_store(std::span<const Sample>(dataset.samples()));
+}
+
 void write_store(const std::string& path, const Dataset& dataset) {
   util::atomic_write_file(path, serialize_store(dataset));
 }
 
 }  // namespace omptune::store
-
-namespace omptune::sweep {
-
-// Declared in sweep/dataset.hpp, implemented here so the base sweep library
-// carries no dependency on the store format.
-void Dataset::save_store(const std::string& path) const {
-  store::write_store(path, *this);
-}
-
-}  // namespace omptune::sweep

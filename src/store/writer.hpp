@@ -6,6 +6,7 @@
 // atomically (temp file + fsync + rename, like the journal) so a reader
 // never observes a half-written store.
 
+#include <span>
 #include <string>
 
 #include "sweep/dataset.hpp"
@@ -18,8 +19,11 @@ namespace omptune::store {
 /// a u16-coded dictionary) and std::runtime_error on I/O failure.
 void write_store(const std::string& path, const sweep::Dataset& dataset);
 
-/// In-memory serialization (the byte content write_store persists);
-/// exposed for tests that corrupt specific offsets.
+/// In-memory serialization (the byte content write_store persists). The
+/// span form encodes a run of rows in place (the journal writes a setting's
+/// rows this way without copying them into a Dataset); tests use it to
+/// corrupt specific offsets.
+std::string serialize_store(std::span<const sweep::Sample> samples);
 std::string serialize_store(const sweep::Dataset& dataset);
 
 }  // namespace omptune::store

@@ -6,6 +6,8 @@
 #include <map>
 #include <stdexcept>
 
+#include "store/reader.hpp"
+#include "store/writer.hpp"
 #include "util/errors.hpp"
 #include "util/strings.hpp"
 
@@ -75,26 +77,30 @@ void Dataset::append(Dataset other) {
                   std::make_move_iterator(other.samples_.end()));
 }
 
-Dataset Dataset::deduped(DedupeReport* report) const {
+Dataset Dataset::deduped(DedupeReport* report) && {
   if (report) *report = DedupeReport{};
-  Dataset out;
-  std::map<std::string, std::size_t> first_position;  // identity -> out index
-  for (const Sample& s : samples_) {
-    const std::string identity = sample_identity(s);
+  // Kept rows are compacted to the front: row i only ever moves to a slot
+  // at or before i, which the loop has already visited.
+  std::map<std::string, std::size_t> first_position;  // identity -> kept slot
+  std::size_t kept_rows = 0;
+  for (Sample& s : samples_) {
     const auto [it, inserted] =
-        first_position.emplace(identity, out.samples_.size());
+        first_position.emplace(sample_identity(s), kept_rows);
     if (inserted) {
-      out.add(s);
+      Sample& slot = samples_[kept_rows++];
+      if (&slot != &s) slot = std::move(s);
       continue;
     }
     if (report) ++report->duplicates;
-    Sample& kept = out.samples_[it->second];
+    Sample& kept = samples_[it->second];
     if (status_preference(s.status) < status_preference(kept.status)) {
-      kept = s;
+      kept = std::move(s);
       if (report) ++report->replaced;
     }
   }
-  return out;
+  samples_.erase(samples_.begin() + static_cast<std::ptrdiff_t>(kept_rows),
+                 samples_.end());
+  return std::move(*this);
 }
 
 std::size_t Dataset::quarantined_count() const {
@@ -103,12 +109,10 @@ std::size_t Dataset::quarantined_count() const {
                     [](const Sample& s) { return s.is_quarantined(); }));
 }
 
-util::CsvTable Dataset::to_csv() const { return sweep::to_csv(samples_); }
-
-util::CsvTable to_csv(std::span<const Sample> samples) {
+util::CsvTable Dataset::to_csv() const {
   // Fixed repetition count across a dataset.
   std::size_t reps = 0;
-  for (const Sample& s : samples) reps = std::max(reps, s.runtimes.size());
+  for (const Sample& s : samples_) reps = std::max(reps, s.runtimes.size());
 
   std::vector<std::string> header = {
       "arch",   "app",      "suite",     "kind",      "input",
@@ -120,7 +124,7 @@ util::CsvTable to_csv(std::span<const Sample> samples) {
   }
 
   util::CsvTable table(std::move(header));
-  for (const Sample& s : samples) {
+  for (const Sample& s : samples_) {
     std::vector<std::string> row = {
         s.arch,
         s.app,
@@ -242,6 +246,14 @@ Dataset Dataset::load_csv_file(const std::string& path) {
   } catch (const std::exception& error) {
     throw util::DataCorruptionError(path + ": " + error.what());
   }
+}
+
+void Dataset::save_store(const std::string& path) const {
+  store::write_store(path, *this);
+}
+
+Dataset Dataset::load_store(const std::string& path) {
+  return store::StoreReader(path).load();
 }
 
 }  // namespace omptune::sweep

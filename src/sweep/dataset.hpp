@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -61,10 +60,6 @@ struct Sample {
 /// (overlapping shards, re-recorded journal entries) and must be deduplicated
 /// by status_preference, not by arrival order.
 std::string sample_identity(const Sample& sample);
-
-/// The open-data CSV form of a run of samples (Dataset::to_csv of a
-/// dataset holding exactly these rows).
-util::CsvTable to_csv(std::span<const Sample> samples);
 
 /// Column-stable dataset container.
 class Dataset {
@@ -125,8 +120,10 @@ class Dataset {
   /// best-status occurrence (Ok over Retried over Quarantined; first wins on
   /// ties) at the position of the identity's first appearance. Used by the
   /// shard merger and the journal compactor, where overlapping collection
-  /// legitimately produces the same measurement more than once.
-  Dataset deduped(DedupeReport* report = nullptr) const;
+  /// legitimately produces the same measurement more than once. It
+  /// collapses in place, so a caller done with its input (compaction of a
+  /// whole study) never holds two copies of the rows.
+  Dataset deduped(DedupeReport* report = nullptr) &&;
 
   /// Serialize to the open-data CSV schema (one row per sample, one column
   /// per variable plus all repetition runtimes).
@@ -147,15 +144,14 @@ class Dataset {
 
   /// Serialize to the binary columnar store format (.omps): dictionary-coded
   /// string columns, packed config fields, contiguous runtime blocks and an
-  /// embedded (arch, app, input, threads) index. Implemented by the store
-  /// subsystem — link omptune_store to use. Atomic replace, like the
-  /// journal's CSV writes.
+  /// embedded (arch, app, input, threads) index (store::write_store). Atomic
+  /// replace, like the journal's segment writes.
   void save_store(const std::string& path) const;
 
   /// Load a .omps store file (full materialization, every section checksum
-  /// verified). Implemented by the store subsystem — link omptune_store.
-  /// Throws util::DataCorruptionError naming file and offset on any
-  /// corruption. For indexed partial reads, use store::StoreReader directly.
+  /// verified). Throws util::DataCorruptionError naming file and offset on
+  /// any corruption. For indexed partial reads, use store::StoreReader
+  /// directly.
   static Dataset load_store(const std::string& path);
 
  private:

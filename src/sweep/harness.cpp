@@ -122,8 +122,9 @@ Dataset quarantined_setting_dataset(const arch::CpuArch& cpu,
 }
 
 std::size_t ArchPlan::total_samples() const {
+  const ConfigSpace space = ConfigSpace::paper_space(arch::architecture(arch));
   std::size_t total = 0;
-  for (const std::size_t c : configs_per_setting) total += c;
+  for (const std::size_t c : configs_per_setting) total += space.sample_size(c);
   return total;
 }
 
@@ -353,18 +354,25 @@ Dataset SweepHarness::run_study(const StudyPlan& plan,
     // Write-ahead: persist before the study depends on the data. A journal
     // append that fails (ENOSPC, EIO...) degrades durability — a later
     // crash would recollect this setting — but the rows are already in
-    // memory, so the study itself continues.
+    // memory, so the study itself continues. So does a batch the segment
+    // format cannot encode (a non-finite runtime from a runner no policy
+    // guards): it is never journaled, so a resume recollects it.
     if (journal) {
-      try {
-        journal->record(step.key, rows);
-      } catch (const util::StorageError& error) {
+      const auto degraded = [&](const char* what) {
         ++journal_append_failures_;
         if (options.progress) {
           options.progress(step.key +
                            " journal append failed, durability degraded "
                            "(study continues): " +
-                           error.what());
+                           what);
         }
+      };
+      try {
+        journal->record(step.key, rows);
+      } catch (const util::StorageError& error) {
+        degraded(error.what());
+      } catch (const std::invalid_argument& error) {
+        degraded(error.what());
       }
     }
   };

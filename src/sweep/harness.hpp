@@ -80,6 +80,8 @@ struct ArchPlan {
   /// total matches the Table II sample count exactly).
   std::vector<std::size_t> configs_per_setting;
 
+  /// Samples the slice collects: each setting yields
+  /// ConfigSpace::sample_size of its count (no more than its space holds).
   std::size_t total_samples() const;
 };
 
@@ -166,10 +168,11 @@ class SweepHarness {
   /// totals); nullptr before the first resilient run.
   const ResiliencePolicy* last_policy() const { return last_policy_.get(); }
 
-  /// Journal appends that failed with a util::StorageError across every
-  /// run_study on this harness. Each one means the affected setting lost
-  /// write-ahead durability (a crash would recollect it) but the study
-  /// continued with the batch held in memory.
+  /// Journal appends that failed across every run_study on this harness:
+  /// a util::StorageError, or a batch with a non-finite value the segment
+  /// format refuses. Each one means the affected setting lost write-ahead
+  /// durability (a resume recollects it) but the study continued with the
+  /// batch held in memory.
   std::size_t journal_append_failures() const {
     return journal_append_failures_;
   }

@@ -3,19 +3,25 @@
 // Write-ahead journal for resumable studies.
 //
 // A study is a sequence of settings; the journal persists each setting's
-// samples to its own CSV file the moment the setting completes, via an
-// atomic temp-file + fsync + rename write (util::atomic_write_file). A
-// crash therefore loses at most the in-flight setting; on resume the
-// harness replays completed settings from disk and recollects only the
-// rest. Because per-setting RNG seeds derive from the setting key (not the
-// global sequence position), a resumed study is bit-identical to an
-// uninterrupted one.
+// samples as its own single-setting .omps segment (the store format of
+// store/format.hpp, every section checksummed) the moment the setting
+// completes, via an atomic temp-file + fsync + rename write
+// (util::atomic_write_file). A crash therefore loses at most the in-flight
+// setting; on resume the harness replays completed settings from disk and
+// recollects only the rest. Because per-setting RNG seeds derive from the
+// setting key (not the global sequence position), and a segment keeps every
+// double exactly, a resumed study is bit-identical to an uninterrupted one.
 //
-// Layout: <dir>/<sanitized-key>-<hash16>.csv — human-greppable prefix plus
+// Layout: <dir>/<sanitized-key>-<hash16>.omps — human-greppable prefix plus
 // a stable 64-bit hash so distinct keys can never collide after
-// sanitization. Loading validates the CSV and, when the caller knows it,
-// the sample count; every validation failure surfaces as
-// util::DataCorruptionError, never as a silently short dataset.
+// sanitization. Loading reads the segment through util::read_file (where
+// the I/O hooks see it), verifies every checksum and, when the caller knows
+// it, the sample count; every validation failure surfaces as
+// util::DataCorruptionError, never as a silently short dataset. A
+// directory still holding a per-setting CSV entry of an older build
+// (<sanitized-key>-<hash16>.csv) is refused the same way when it is opened,
+// so no run, resume or compaction can silently drop that entry's setting;
+// other files in the directory are left alone.
 
 #include <cstddef>
 #include <span>
@@ -32,7 +38,10 @@ namespace omptune::sweep {
 
 class StudyJournal {
  public:
-  /// Opens (and creates, if needed) the journal directory.
+  /// Opens (and creates, if needed) the journal directory. Throws
+  /// util::DataCorruptionError naming the first CSV entry an older build
+  /// left there: this build does not read them, so journaling over one would
+  /// silently drop its setting from a resume or compaction.
   explicit StudyJournal(std::string directory);
 
   const std::string& directory() const { return directory_; }
@@ -40,7 +49,8 @@ class StudyJournal {
   /// Whether a completed entry for `key` exists.
   bool contains(const std::string& key) const;
 
-  /// Persist a setting's samples under `key` (atomic replace).
+  /// Persist a setting's samples under `key` as one .omps segment (atomic
+  /// replace). The span form encodes a run of rows in place.
   void record(const std::string& key, std::span<const Sample> samples) const;
   void record(const std::string& key, const Dataset& dataset) const {
     record(key, dataset.samples());
@@ -58,7 +68,7 @@ class StudyJournal {
 
   /// Move `key`'s entry from `other` into this journal. On the common path
   /// (no local entry yet) this is a metadata-only rename(2) plus directory
-  /// fsyncs — no CSV parse, no rewrite — which is what keeps the process
+  /// fsyncs — no decode, no rewrite — which is what keeps the process
   /// supervisor's per-worker-journal promotion cheap. If BOTH journals hold
   /// the key (a reassigned shard whose original worker did finish), the two
   /// entries are merged by the Ok > Retried > Quarantined dedupe instead,
@@ -66,22 +76,25 @@ class StudyJournal {
   /// No-op when `other` has no entry for `key`.
   void adopt(const StudyJournal& other, const std::string& key) const;
 
-  /// Keys with completed entries, sorted by file name.
+  /// File names of the completed entries, sorted.
   std::vector<std::string> entry_files() const;
 
   /// File path backing `key` (exposed for tests that corrupt entries).
   std::string entry_path(const std::string& key) const;
 
-  /// Compact every completed entry (many per-setting CSVs) into one binary
-  /// .omps store file at `out_path`. Entries are concatenated in file-name
-  /// order and deduplicated by measurement identity — the best-status
-  /// occurrence wins (Ok over Retried over Quarantined), so a re-recorded
-  /// setting never resurrects a quarantined placeholder. Implemented by the
-  /// store subsystem — link omptune_store to use. Throws
-  /// util::DataCorruptionError if any entry fails validation.
+  /// Compact every completed entry (many per-setting segments) into one
+  /// .omps store file at `out_path` (atomic replace). Entries are
+  /// concatenated in file-name order and deduplicated by measurement
+  /// identity — the best-status occurrence wins (Ok over Retried over
+  /// Quarantined), so a re-recorded setting never resurrects a quarantined
+  /// placeholder. Throws util::DataCorruptionError if any entry fails
+  /// validation.
   store::CompactReport compact(const std::string& out_path) const;
 
  private:
+  /// Load the segment at `path`, every checksum verified.
+  static Dataset load_file(const std::string& path);
+
   std::string directory_;
 };
 

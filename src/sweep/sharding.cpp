@@ -109,7 +109,9 @@ Dataset merge_shards_impl(const StudyPlan& plan,
   if (report) *report = MergeReport{};
   Dataset merged;
   for (const ArchPlan& arch_plan : plan.arch_plans) {
-    const std::string arch_name = arch::architecture(arch_plan.arch).name;
+    const arch::CpuArch& cpu = arch::architecture(arch_plan.arch);
+    const std::string& arch_name = cpu.name;
+    const ConfigSpace space = ConfigSpace::paper_space(cpu);
     for (std::size_t i = 0; i < arch_plan.settings.size(); ++i) {
       const std::string key = setting_key(arch_name, arch_plan.settings[i]);
       const auto it = buckets.find(key);
@@ -135,11 +137,12 @@ Dataset merge_shards_impl(const StudyPlan& plan,
       if (report) report->duplicate_samples += duplicates;
       // A partially-duplicated setting (extra configs the plan never asked
       // for, or missing ones) still fails the size check below.
-      if (it->second.size() != arch_plan.configs_per_setting[i]) {
+      const std::size_t rows = space.sample_size(arch_plan.configs_per_setting[i]);
+      if (it->second.size() != rows) {
         const std::string message =
             "merge_shards: setting '" + key + "' has " +
             std::to_string(it->second.size()) + " samples, plan expects " +
-            std::to_string(arch_plan.configs_per_setting[i]);
+            std::to_string(rows);
         if (!options) throw std::invalid_argument(message);
         if (options->lenient) {
           if (options->warn) {
@@ -151,7 +154,7 @@ Dataset merge_shards_impl(const StudyPlan& plan,
             report->skipped.push_back(SkippedSetting{
                 key,
                 std::to_string(it->second.size()) + " samples, plan expects " +
-                    std::to_string(arch_plan.configs_per_setting[i]),
+                    std::to_string(rows),
                 contributors(*options, it->second)});
           }
           continue;

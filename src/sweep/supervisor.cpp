@@ -82,7 +82,7 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
     const SettingTask& task = tasks[i];
     if (options_.resume && journal.contains(task.key)) {
       try {
-        journal.load(task.key, task.config_count);  // validate before trusting
+        journal.load(task.key, task.rows);  // validate before trusting
         state[i] = TaskState::Done;
         ++report_.settings_resumed;
         ++report_.settings_completed;
@@ -274,7 +274,7 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
   Dataset dataset;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     if (state[i] != TaskState::Done) continue;
-    dataset.append(journal.load(tasks[i].key, tasks[i].config_count));
+    dataset.append(journal.load(tasks[i].key, tasks[i].rows));
   }
 
   if (report_.interrupted) {

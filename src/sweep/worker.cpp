@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "arch/cpu_arch.hpp"
+#include "sweep/config_space.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/lease_pool.hpp"
 #include "util/process.hpp"
@@ -144,11 +145,13 @@ std::vector<SettingTask> flatten_plan(const StudyPlan& plan) {
   std::vector<SettingTask> tasks;
   for (const ArchPlan& arch_plan : plan.arch_plans) {
     const arch::CpuArch& cpu = arch::architecture(arch_plan.arch);
+    const ConfigSpace space = ConfigSpace::paper_space(cpu);
     for (std::size_t i = 0; i < arch_plan.settings.size(); ++i) {
       SettingTask task;
       task.arch = arch_plan.arch;
       task.setting = arch_plan.settings[i];
       task.config_count = arch_plan.configs_per_setting[i];
+      task.rows = space.sample_size(task.config_count);
       task.key = setting_key(cpu.name, task.setting);
       tasks.push_back(std::move(task));
     }

@@ -46,6 +46,7 @@ struct SettingTask {
   arch::ArchId arch;
   StudySetting setting;
   std::size_t config_count = 0;
+  std::size_t rows = 0;  ///< samples the setting yields: sample_size(config_count)
   std::string key;  ///< setting_key(arch, setting) — journal + merge identity
 };
 

@@ -44,7 +44,18 @@ void MappedFile::read_into_buffer(int fd) {
     size_ = done;
     buffer_.resize(done);
   }
-  data_ = buffer_.data();
+  data_ = reinterpret_cast<const unsigned char*>(buffer_.data());
+}
+
+MappedFile MappedFile::from_bytes(std::string path, std::string bytes) {
+  MappedFile file;
+  file.path_ = std::move(path);
+  file.buffer_ = std::move(bytes);
+  file.size_ = file.buffer_.size();
+  if (file.size_ > 0) {
+    file.data_ = reinterpret_cast<const unsigned char*>(file.buffer_.data());
+  }
+  return file;
 }
 
 MappedFile::MappedFile(const std::string& path, Mode mode) : path_(path) {
@@ -87,7 +98,9 @@ MappedFile::MappedFile(MappedFile&& other) noexcept
       size_(std::exchange(other.size_, 0)),
       mapped_(std::exchange(other.mapped_, false)),
       buffer_(std::move(other.buffer_)) {
-  if (!mapped_ && !buffer_.empty()) data_ = buffer_.data();
+  if (!mapped_ && !buffer_.empty()) {
+    data_ = reinterpret_cast<const unsigned char*>(buffer_.data());
+  }
 }
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
@@ -98,7 +111,9 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     size_ = std::exchange(other.size_, 0);
     mapped_ = std::exchange(other.mapped_, false);
     buffer_ = std::move(other.buffer_);
-    if (!mapped_ && !buffer_.empty()) data_ = buffer_.data();
+    if (!mapped_ && !buffer_.empty()) {
+      data_ = reinterpret_cast<const unsigned char*>(buffer_.data());
+    }
   }
   return *this;
 }

@@ -11,10 +11,11 @@
 // zero-copy property is simply lost. memory_mapped() reports which path was
 // taken, and setting OMPTUNE_NO_MMAP=1 in the environment forces the
 // buffered path (operational escape hatch, and how tests exercise it).
+// from_bytes() wraps bytes the caller already read (the journal reads its
+// small segments through util::read_file, where the I/O hooks see them).
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 namespace omptune::util {
 
@@ -33,6 +34,9 @@ class MappedFile {
   explicit MappedFile(const std::string& path, Mode mode = Mode::Auto);
   ~MappedFile();
 
+  /// A buffered view over `bytes`, labeled `path` (never memory-mapped).
+  static MappedFile from_bytes(std::string path, std::string bytes);
+
   MappedFile(MappedFile&& other) noexcept;
   MappedFile& operator=(MappedFile&& other) noexcept;
   MappedFile(const MappedFile&) = delete;
@@ -47,6 +51,7 @@ class MappedFile {
   bool memory_mapped() const { return mapped_; }
 
  private:
+  MappedFile() = default;
   void reset() noexcept;
   void read_into_buffer(int fd);
 
@@ -54,7 +59,7 @@ class MappedFile {
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = false;
-  std::vector<unsigned char> buffer_;  ///< backing store of the fallback
+  std::string buffer_;  ///< backing store of the buffered views
 };
 
 }  // namespace omptune::util

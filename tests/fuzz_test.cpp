@@ -335,6 +335,7 @@ TEST_P(ReadPathBitRotFuzz, JournalLoadsAreTypedOrIntactUnderBitRot) {
   const std::size_t count = 15;
   journal.record("fuzz", harness.run_setting(cpu, setting, count));
 
+  std::size_t rejected = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     sim::StorageFaultPlan plan;
     plan.bitrot_seed = seed * 1000003u + static_cast<std::uint64_t>(GetParam());
@@ -348,8 +349,12 @@ TEST_P(ReadPathBitRotFuzz, JournalLoadsAreTypedOrIntactUnderBitRot) {
       ASSERT_EQ(loaded.size(), count);
     } catch (const util::DataCorruptionError&) {
       // Typed rejection: the expected outcome for structural damage.
+      ++rejected;
     }
   }
+  // The flips must actually reach the loader: a load path that bypassed
+  // the read hook would pass every seed untouched.
+  EXPECT_GT(rejected, 0u);
   std::filesystem::remove_all(dir);
 }
 

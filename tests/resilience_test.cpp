@@ -10,15 +10,19 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 
 #include "core/study.hpp"
 #include "sim/executor.hpp"
 #include "sim/fault_runner.hpp"
+#include "store/compact.hpp"
 #include "sweep/harness.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/resilience.hpp"
 #include "sweep/sharding.hpp"
+#include "sweep/supervisor.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
 
@@ -129,6 +133,93 @@ TEST(StudyJournal, GarbledEntryRaisesDataCorruption) {
   const std::string full = util::read_file(path).value();
   util::atomic_write_file(path, full.substr(0, full.size() * 2 / 3));
   EXPECT_THROW(journal.load("k", 8), util::DataCorruptionError);
+}
+
+TEST(StudyJournal, LegacyCsvEntriesAreRefusedOnResumeAndCompact) {
+  // A journal an older build wrote holds one CSV file per setting,
+  // <sanitized-key>-<hash16>.csv. This build reads only .omps segments, so
+  // opening such a directory (to run, resume or compact) must fail typed,
+  // naming the file, never yield a short store. Any other CSV beside the
+  // journal (an exported dataset, notes) is not an entry: it is neither
+  // refused nor touched.
+  ScratchDir dir("journal_legacy");
+  const StudyPlan plan = StudyPlan::mini_plan(1, 3);
+  StudyRunOptions options;
+  options.journal_dir = dir.path();
+  sim::ModelRunner runner;
+  SweepHarness harness(runner, 2, 7);
+  const std::string expected = canonical_csv(harness.run_study(plan, options));
+
+  const std::string notes = util::path_join(dir.path(), "notes.csv");
+  const std::string exported = util::path_join(dir.path(), "study-out.csv");
+  util::atomic_write_file(notes, "not a journal entry\n");
+  util::atomic_write_file(exported, expected);
+  options.resume = true;
+  EXPECT_EQ(canonical_csv(harness.run_study(plan, options)), expected);
+
+  const std::string legacy =
+      util::path_join(dir.path(), "a64fx_cg_A_0-0123456789abcdef.csv");
+  util::atomic_write_file(legacy, expected);
+  const std::string out = util::path_join(dir.path(), "out.omps");
+  const auto expect_refused = [&](const std::function<void()>& action) {
+    try {
+      action();
+      ADD_FAILURE() << "legacy CSV entry was not refused";
+    } catch (const util::DataCorruptionError& error) {
+      EXPECT_EQ(error.file(), legacy);
+      EXPECT_NE(std::string(error.what()).find(legacy), std::string::npos);
+    }
+  };
+  expect_refused([&] { StudyJournal(dir.path()).compact(out); });
+  EXPECT_FALSE(util::file_exists(out));
+  for (const bool resume : {true, false}) {
+    options.resume = resume;
+    expect_refused([&] { harness.run_study(plan, options); });
+    SupervisorOptions supervised;
+    supervised.repetitions = 2;
+    supervised.seed = 7;
+    supervised.journal_dir = dir.path();
+    supervised.resume = resume;
+    expect_refused([&] {
+      StudySupervisor([] { return std::make_unique<sim::ModelRunner>(); },
+                      supervised)
+          .run(plan);
+    });
+  }
+  EXPECT_TRUE(util::file_exists(legacy));
+
+  // Removing the old entry is the way back; the other CSVs never moved.
+  ASSERT_TRUE(util::remove_file(legacy));
+  options.resume = true;
+  EXPECT_EQ(canonical_csv(harness.run_study(plan, options)), expected);
+  EXPECT_EQ(StudyJournal(dir.path()).compact(out).samples_out,
+            plan.total_samples());
+  EXPECT_EQ(util::read_file(notes), "not a journal entry\n");
+  EXPECT_EQ(util::read_file(exported), expected);
+}
+
+TEST(StudyJournal, UnencodableBatchDegradesDurabilityAndTheStudyContinues) {
+  // Without a resilience policy a faulty runner's NaN runtimes reach the
+  // batch. A segment cannot hold a non-finite value, so such a setting is
+  // not journaled: the study still returns every row and counts the lost
+  // durability, and a resume finds no entry to trust and recollects it.
+  ScratchDir dir("journal_nan");
+  const StudyPlan plan = StudyPlan::mini_plan(1, 3);
+  sim::ModelRunner inner;
+  sim::FaultSpec spec;
+  spec.seed = 3;
+  spec.nan_rate = 1.0;
+  sim::FaultInjectingRunner runner(inner, spec);
+  SweepHarness harness(runner, 2, 7);
+  StudyRunOptions options;
+  options.journal_dir = dir.path();
+  EXPECT_EQ(harness.run_study(plan, options).size(), plan.total_samples());
+  std::size_t settings = 0;
+  for (const ArchPlan& arch_plan : plan.arch_plans) {
+    settings += arch_plan.settings.size();
+  }
+  EXPECT_EQ(harness.journal_append_failures(), settings);
+  EXPECT_TRUE(StudyJournal(dir.path()).entry_files().empty());
 }
 
 // ---- resilience policy ------------------------------------------------------

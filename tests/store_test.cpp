@@ -529,7 +529,7 @@ TEST(Dedupe, BestStatusWinsRegardlessOfOrder) {
   sweep::Dataset combined = poisoned;
   combined.append(clean);
   sweep::Dataset::DedupeReport report;
-  const sweep::Dataset deduped = combined.deduped(&report);
+  const sweep::Dataset deduped = std::move(combined).deduped(&report);
   EXPECT_EQ(deduped.size(), clean.size());
   EXPECT_EQ(deduped.quarantined_count(), 0u);
   EXPECT_EQ(report.duplicates, clean.size());
@@ -538,7 +538,7 @@ TEST(Dedupe, BestStatusWinsRegardlessOfOrder) {
   // Clean first, quarantined second: nothing to replace.
   sweep::Dataset reversed = clean;
   reversed.append(poisoned);
-  const sweep::Dataset deduped2 = reversed.deduped(&report);
+  const sweep::Dataset deduped2 = std::move(reversed).deduped(&report);
   EXPECT_EQ(deduped2.size(), clean.size());
   EXPECT_EQ(deduped2.quarantined_count(), 0u);
   EXPECT_EQ(report.replaced, 0u);

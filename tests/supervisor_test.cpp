@@ -10,9 +10,15 @@
 //     with the termination signal recorded, and the study still completes.
 //  4. Drain/resume: an interrupted supervised study resumes from its
 //     journal to the identical dataset.
+//  5. Exactness: journal segments keep every double, so a supervised or a
+//     killed-then-resumed study writes the direct run's store byte for
+//     byte, and a setting asked for more configurations than its space
+//     holds is accepted at its real size on every collection path.
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -25,6 +31,8 @@
 #include "arch/cpu_arch.hpp"
 #include "sim/executor.hpp"
 #include "store/compact.hpp"
+#include "sweep/config_space.hpp"
+#include "sweep/coordinator.hpp"
 #include "sweep/harness.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/supervisor.hpp"
@@ -457,6 +465,144 @@ TEST(Supervisor, StaleJournalEntriesAreDiscardedWithoutResume) {
   StudySupervisor supervisor(model_factory(), options);
   EXPECT_EQ(canonical_csv(supervisor.run(plan)), reference_csv(plan));
   EXPECT_EQ(supervisor.report().settings_resumed, 0u);
+}
+
+// ---- exact journal segments -------------------------------------------------
+
+std::string store_bytes(const Dataset& dataset, const std::string& path) {
+  dataset.save_store(path);
+  return util::read_file(path).value();
+}
+
+std::string direct_store_bytes(const StudyPlan& plan, const std::string& path) {
+  sim::ModelRunner runner;
+  SweepHarness harness(runner, kReps, kSeed);
+  return store_bytes(harness.run_study(plan), path);
+}
+
+TEST(Supervisor, SupervisedAndResumedStoresAreByteIdenticalToDirect) {
+  const StudyPlan plan = plan_under_test();
+  ScratchDir scratch("sup_exact");
+  util::create_directories(scratch.path());
+  const std::string direct =
+      direct_store_bytes(plan, util::path_join(scratch.path(), "direct.omps"));
+
+  SupervisorOptions options = base_options();
+  options.workers = 3;
+  options.journal_dir = util::path_join(scratch.path(), "sup_journal");
+  StudySupervisor supervisor(model_factory(), options);
+  EXPECT_TRUE(store_bytes(supervisor.run(plan),
+                          util::path_join(scratch.path(), "sup.omps")) == direct)
+      << "supervised store differs from the direct store";
+
+  // A journaled run_study SIGKILLed after its third journaled setting,
+  // then resumed in this process.
+  const std::string journal_dir = util::path_join(scratch.path(), "journal");
+  StudyRunOptions run_options;
+  run_options.journal_dir = journal_dir;
+  run_options.resume = true;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int settings = 0;
+    StudyRunOptions child_options = run_options;
+    child_options.progress = [&](const std::string&) {
+      if (++settings == 3) ::raise(SIGKILL);
+    };
+    sim::ModelRunner runner;
+    SweepHarness harness(runner, kReps, kSeed);
+    harness.run_study(plan, child_options);
+    ::_exit(3);  // ran past the kill
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+  ASSERT_EQ(StudyJournal(journal_dir).entry_files().size(), 3u);
+
+  std::size_t resumed = 0;
+  run_options.progress = [&](const std::string& line) {
+    if (line.ends_with("(resumed)")) ++resumed;
+  };
+  sim::ModelRunner runner;
+  SweepHarness harness(runner, kReps, kSeed);
+  EXPECT_TRUE(store_bytes(harness.run_study(plan, run_options),
+                          util::path_join(scratch.path(), "resumed.omps")) ==
+              direct)
+      << "resumed store differs from the direct store";
+  EXPECT_EQ(resumed, 3u);
+}
+
+// ---- settings larger than their configuration space -------------------------
+
+/// One A64FX setting asked for 4609 configurations: its space holds 4608,
+/// so it yields 4608 rows on every path (ConfigSpace::sample_size).
+StudyPlan oversized_plan() {
+  const apps::Application& app = apps::find_application("cg");
+  ArchPlan arch_plan;
+  arch_plan.arch = arch::ArchId::A64FX;
+  arch_plan.settings.push_back(StudySetting{&app, app.input_sizes().front(), 0});
+  arch_plan.configs_per_setting.push_back(4609);
+  StudyPlan plan;
+  plan.arch_plans.push_back(arch_plan);
+  return plan;
+}
+
+constexpr std::size_t kOversizedRows = 4608;
+
+TEST(OversizedSetting, SupervisorCollectsAndResumesItsRealSize) {
+  const StudyPlan plan = oversized_plan();
+  ASSERT_EQ(ConfigSpace::paper_space(arch::architecture(arch::ArchId::A64FX))
+                .sample_size(4609),
+            kOversizedRows);
+  ScratchDir scratch("sup_oversized");
+  SupervisorOptions options = base_options();
+  options.workers = 2;
+  options.journal_dir = util::path_join(scratch.path(), "journal");
+  StudySupervisor first(model_factory(), options);
+  const Dataset dataset = first.run(plan);
+  EXPECT_EQ(dataset.size(), kOversizedRows);
+  EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
+
+  options.resume = true;
+  StudySupervisor second(model_factory(), options);
+  EXPECT_EQ(canonical_csv(second.run(plan)), reference_csv(plan));
+  EXPECT_EQ(second.report().settings_resumed, 1u);
+}
+
+TEST(OversizedSetting, RunStudyResumesItsRealSize) {
+  const StudyPlan plan = oversized_plan();
+  ScratchDir scratch("run_oversized");
+  StudyRunOptions options;
+  options.journal_dir = scratch.path();
+  sim::ModelRunner runner;
+  SweepHarness harness(runner, kReps, kSeed);
+  harness.run_study(plan, options);
+
+  options.resume = true;
+  std::size_t resumed = 0;
+  options.progress = [&](const std::string& line) {
+    if (line.ends_with("(resumed)")) ++resumed;
+  };
+  EXPECT_EQ(canonical_csv(harness.run_study(plan, options)), reference_csv(plan));
+  EXPECT_EQ(resumed, 1u);
+}
+
+TEST(OversizedSetting, CoordinatorMergesItsRealSize) {
+  const StudyPlan plan = oversized_plan();
+  ScratchDir scratch("coord_oversized");
+  util::create_directories(scratch.path());
+  CoordinatorOptions options;
+  options.hosts = 2;
+  options.shards = 1;
+  options.repetitions = kReps;
+  options.seed = kSeed;
+  options.heartbeat_timeout_ms = 8000;
+  Coordinator coordinator(model_factory(), options);
+  const Dataset dataset =
+      coordinator.run(plan, util::path_join(scratch.path(), "study.omps"));
+  EXPECT_EQ(dataset.size(), kOversizedRows);
+  EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
+  EXPECT_TRUE(coordinator.report().quarantined_shards.empty());
 }
 
 }  // namespace

@@ -34,7 +34,7 @@
 //   omptune analyze <dataset>         re-derive every artefact from a
 //                                      dataset (.csv or .omps store)
 //   omptune compact <journal> <out.omps>
-//                                      fold a journal's per-setting CSVs
+//                                      fold a journal's per-setting segments
 //                                      into one indexed store
 //   omptune query <store.omps> <app> <arch>
 //                                      indexed store query + knowledge-based
@@ -151,7 +151,7 @@ int usage() {
       "        [--max-shard-attempts=N] [--chaos=<spec>] [--lenient]\n"
       "  analyze <dataset>                 derive artefacts from a dataset\n"
       "                                    (.csv or .omps store)\n"
-      "  compact <journal> <out.omps>      fold per-setting journal CSVs into\n"
+      "  compact <journal> <out.omps>      fold per-setting journal segments into\n"
       "                                    one indexed binary store\n"
       "  query <store.omps> <app> <arch>   indexed store query + knowledge-\n"
       "                                    based recommendation\n"
